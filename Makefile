@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke
+.PHONY: build test race vet check bench-smoke trace-smoke fuzz-corpus bench-parallel bench-parallel-smoke bench-nodecache bench-approx bench-approx-smoke bench-shard chaos chaos-recover fuzz-smoke race-sched serve-smoke obs-serve-smoke router-smoke perfbench-fingerprint
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,14 @@ obs-serve-smoke:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# perfbench-fingerprint runs the repository benchmark's own tests (it is
+# a separate Go module, so ./... does not reach it): every workload's
+# traced pass twice with one seed, failing unless the deterministic
+# counters (distance calcs, nodes expanded, shards contacted, WAL replay
+# records) repeat exactly and every oracle check passes.
+perfbench-fingerprint:
+	cd perfbench && $(GO) test -count=1 -run 'Fingerprint|Covered' .
 
 # trace-smoke validates the observability artifacts end to end: it runs
 # the traced "mba" experiment and checks the emitted Chrome trace JSON

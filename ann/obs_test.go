@@ -105,6 +105,41 @@ func TestQueryObservability(t *testing.T) {
 	}
 }
 
+// TestQueryReportPoolMatchesIndexStats: the pool section of a query's
+// report over a live index (whose queries run on a published snapshot)
+// must account exactly for the buffer-pool traffic Index.Stats observes
+// across the query, for both index kinds.
+func TestQueryReportPoolMatchesIndexStats(t *testing.T) {
+	for _, kind := range []IndexKind{MBRQT, RStar} {
+		t.Run(kind.String(), func(t *testing.T) {
+			ix, err := BuildIndex(randomPoints(5, 2000, 2), IndexConfig{Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			var rep QueryReport
+			before := ix.Stats()
+			// With the node cache off every expansion goes through the pool.
+			_, err = SelfAllKNearestNeighbors(ix, 2, QueryConfig{
+				NodeCacheBytes: -1,
+				OnReport:       func(r QueryReport) { rep = r },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := ix.Stats()
+			hits, misses := after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses
+			if hits+misses == 0 {
+				t.Fatal("the join touched no pool pages")
+			}
+			if rep.Pool.Hits != hits || rep.Pool.Misses != misses {
+				t.Fatalf("report pool hits/misses %d/%d, Index.Stats delta %d/%d",
+					rep.Pool.Hits, rep.Pool.Misses, hits, misses)
+			}
+		})
+	}
+}
+
 // TestNilMetricsRegistry: a nil registry is the disabled state and every
 // method must still be callable.
 func TestNilMetricsRegistry(t *testing.T) {

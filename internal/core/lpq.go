@@ -18,7 +18,10 @@ type lpqItem struct {
 
 // lpq is the paper's Local Priority Queue: every unique entry of I_R owns
 // exactly one, holding the surviving candidate entries of I_S ordered by
-// MIND (ties broken by MAXD, as the Filter Stage prescribes).
+// MIND (ties broken by MAXD, as the Filter Stage prescribes). The query
+// objects of a leaf are the exception outside the PerObjectGather
+// ablation: the leaf join keeps their k best in flat arrays that apply
+// the same rules (see leafJoin).
 //
 // The queue is a sorted slice rather than a binary heap: LPQs stay small
 // (the bound keeps them to a handful of entries), insertion keeps them
@@ -108,8 +111,7 @@ func clearLPQ(q *lpq) {
 // lpqFreeListCap bounds each engine's private LPQ freelist. The
 // depth-first traversal keeps O(height x fanout) queues live, so a small
 // worker-local list absorbs nearly every create/release pair without
-// touching the shared sync.Pool (whose Get/Put are per-P atomics —
-// measurable in the leaf join, where LPQs recycle once per I_R object).
+// touching the shared sync.Pool (whose Get/Put are per-P atomics).
 const lpqFreeListCap = 64
 
 // getLPQ is newLPQ through the engine's private freelist.
@@ -273,11 +275,11 @@ func (q *lpq) enqueueChecked(it lpqItem) {
 // distance difference that matters.
 const boundSlack = 1e-12
 
+// withSlack inflates a pruning bound by the relative slack.
+func withSlack(b float64) float64 { return b + b*boundSlack }
+
 // slackBound returns the pruning bound inflated by the relative slack.
-func (q *lpq) slackBound() float64 {
-	b := q.bound()
-	return b + b*boundSlack
-}
+func (q *lpq) slackBound() float64 { return withSlack(q.bound()) }
 
 // admitBound is the admission-side pruning bound: slackBound shrunk by
 // the approximate mode's factor. Shrinking is applied only when the

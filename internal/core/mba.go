@@ -240,8 +240,8 @@ type engine struct {
 	tm  *Timings
 
 	// Per-engine scratch reused across expandAndPrune calls. The engine
-	// is single-threaded (each parallel worker builds its own), and the
-	// leaf join and the Gather Stage never nest, so one set suffices.
+	// is single-threaded (each parallel worker builds its own), and two
+	// leaf joins or Gather Stages never nest, so one set suffices.
 	join       leafJoin
 	gatherBest *pq.KBest[*index.Entry]
 	gatherTop  []pq.Item[*index.Entry]
@@ -410,16 +410,19 @@ func (e *engine) probe(c *lpq, cand *index.Entry) {
 	c.enqueueChecked(lpqItem{e: cand, mind: mind, maxd: e.maxDist(c.owner, cand)})
 }
 
-// expandAndPrune is Algorithm 4. For an object owner it runs the Gather
-// Stage (emitting that owner's result); for a node owner it runs the
-// Expand Stage, distributing the queued candidates over freshly created
-// child LPQs (Filter Stage pruning happens inside lpq.enqueue).
+// expandAndPrune is Algorithm 4. For an object owner (PerObjectGather
+// only) it runs the Gather Stage, emitting that owner's result. For a
+// leaf of I_R it runs the leaf join, emitting the leaf's rows, and
+// returns no children. For any other node owner it runs the Expand
+// Stage, distributing the queued candidates over freshly created child
+// LPQs (Filter Stage pruning happens inside lpq.enqueue).
 //
 // With observability enabled (engine.obsOn) the call is bracketed by an
-// "expand" span with a nested "filter" span over the candidate drain (or
-// a "gather" span for an object owner); the stage clocks in Timings
-// attribute the drain to Filter and the remainder to Expand, so the
-// three stage totals are disjoint.
+// "expand" span with a nested "filter" span over the candidate drain
+// (plus a nested "gather" span over a leaf's emission, or a lone
+// "gather" span for an object owner); the stage clocks in Timings
+// attribute the drain to Filter, emission to Gather and the remainder to
+// Expand, so the three stage totals are disjoint.
 func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	if q.owner.IsObject() {
 		if !e.obsOn() {
@@ -445,6 +448,16 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 		return nil, err
 	}
 	e.stats.NodesExpandedR++
+	if !e.opts.PerObjectGather && len(children) > 0 && children[0].Kind == index.ObjectEntry {
+		// The owner is a leaf of I_R: its children are the query objects
+		// themselves. Join the candidates all the way down to object level
+		// here, where each I_S node is expanded once and shared by every
+		// query object — rather than giving each object an LPQ whose
+		// Gather Stage re-expands the same nodes (index heights need not
+		// align across branches, so candidates may still be several
+		// levels up). The leaf's rows are emitted before this returns.
+		return nil, e.joinLeaf(q, children, tExpand)
+	}
 	lpqcs := make([]*lpq, len(children))
 	for i := range children {
 		inherited := q.bound()
@@ -460,17 +473,7 @@ func (e *engine) expandAndPrune(q *lpq) ([]*lpq, error) {
 	if obsOn {
 		tDrain = time.Now()
 	}
-	if !e.opts.PerObjectGather && len(children) > 0 && children[0].Kind == index.ObjectEntry {
-		// The owner is a leaf of I_R: its children are the query objects
-		// themselves. Drain the candidates all the way to object level
-		// here, where each I_S node is expanded once and shared by every
-		// object LPQ — rather than letting each object's Gather Stage
-		// re-expand the same nodes (index heights need not align across
-		// branches, so candidates may still be several levels up).
-		if err := e.drainToObjects(q, lpqcs); err != nil {
-			return nil, err
-		}
-	} else if err := e.drainToChildren(q, lpqcs); err != nil {
+	if err := e.drainToChildren(q, lpqcs); err != nil {
 		return nil, err
 	}
 	var tDrainEnd time.Time
@@ -585,461 +588,12 @@ func (e *engine) drainToChildren(q *lpq, lpqcs []*lpq) error {
 	}
 }
 
-// leafJoin is the engine's scratch state for drainToObjects: the packed
-// owner coordinates and cached bounds of the leaf-level object join, the
-// candidate-node work heap, and the batch-kernel gather buffers. One
-// instance lives per engine (one per parallel worker) and is reset for
-// each I_R leaf, so the join performs no steady-state allocations beyond
-// growth of the retained buffers.
-//
-// The join runs in two interchangeable forms. probeOne is the scalar
-// reference: one candidate against every owner, bounds updated live. The
-// batch form (add/flush) gathers prefilter survivors into contiguous
-// arrays and pushes whole candidate tiles through geom.DistSqBlock, then
-// commits the results in candidate order against the live bounds. The
-// commit pass reproduces the scalar path's decisions and counters
-// exactly: during a leaf join bounds only tighten (the phase is
-// enqueue-only), so a snapshot bound taken at gather or kernel time is
-// always >= the live bound at commit time — a kernel early-out therefore
-// implies the scalar path would have pruned too, and every committed
-// distance is the full sum, accumulated in the same dimension order as
-// the scalar loop, hence bit-identical.
-type leafJoin struct {
-	dim     int
-	lpqcs   []*lpq
-	leafMBR geom.Rect
-	// The object/object probes of the leaf-level join dominate the whole
-	// ANN computation. The owners' coordinates are packed into one flat
-	// row-major matrix and their bounds cached in a parallel slice, so the
-	// kernel runs over contiguous memory with an early-out distance.
-	flat   []float64
-	bounds []float64
-	// dirty marks the stragglers of the recall-targeted selection: owners
-	// excluded from the shared prefilter/cut-off bound (see
-	// markStragglers). Always all-false in exact mode.
-	dirty    []bool
-	hasDirty bool
-	// patience is the recall-targeted stopping rule of the candidate
-	// drain: with patience > 0, the work-heap loop terminates once
-	// sinceAdmit consecutive committed candidates failed every owner's
-	// admission test (and every owner holds its full k). The candidate
-	// stream arrives best-first by MIND to the leaf, so admissions are
-	// front-loaded and a long admission drought means the expected
-	// marginal recall of the remaining stream has fallen below target.
-	// 0 disables the rule (exact mode).
-	patience   int
-	sinceAdmit int
-	// maxOwnerBound caches max(bounds) over the non-straggler owners;
-	// maxOwnerIdx is its argmax, so a tightening of any other owner skips
-	// the O(owners) rescan. In exact mode no owner is a straggler, so this
-	// is simply max(bounds).
-	maxOwnerBound float64
-	maxOwnerIdx   int
-	work          pq.Heap[*index.Entry]
-	stats         *Stats
-	sched         *SchedStats
-
-	// Batch gather buffers: candidates surviving the snapshot prefilter,
-	// their packed coordinates, and their precomputed leaf-MBR distances
-	// (re-checked against the live bound at commit).
-	candEnts []*index.Entry
-	candFlat []float64
-	candPre  []float64
-	block    []float64
-}
-
-// reset points the scratch at a new leaf owner and its object LPQs.
-func (j *leafJoin) reset(dim int, q *lpq, lpqcs []*lpq, stats *Stats, sched *SchedStats) {
-	j.dim = dim
-	j.lpqcs = lpqcs
-	j.leafMBR = q.owner.MBR
-	j.flat = j.flat[:0]
-	j.bounds = append(j.bounds[:0], make([]float64, len(lpqcs))...)
-	j.dirty = append(j.dirty[:0], make([]bool, len(lpqcs))...)
-	j.hasDirty = false
-	j.patience = 0
-	j.sinceAdmit = 0
-	for i, c := range lpqcs {
-		j.flat = append(j.flat, c.owner.Point...)
-		j.bounds[i] = c.admitBound()
-	}
-	j.refreshMaxOwnerBound()
-	j.work.Reset()
-	j.stats = stats
-	j.sched = sched
-	j.clearBatch()
-}
-
-// markStragglers is the recall-targeted leaf selection: with
-// 0 < rt < 1, the ceil(rt x m) owners with the tightest admission bounds
-// are served exactly, and the remaining owners — the stragglers, whose
-// wide bounds would otherwise force every far candidate through the
-// kernel for the whole leaf — are excluded from the shared prefilter and
-// cut-off bound. A straggler still admits every candidate that survives
-// the clean owners' prefilter (its per-owner bound in the kernel is
-// untouched), so it degrades gracefully instead of starving; and only
-// owners already holding their full k candidates are eligible, so every
-// owner still emits k results. Per leaf, at least ceil(rt x m) owners
-// receive results identical to the exact drain, which is the per-leaf
-// recall floor rt.
-//
-// Called at the start of the heap-drain phase, not at reset: the
-// selection needs live bounds, and most owners only reach k admitted
-// candidates once the leaf's inherited candidate list has been
-// distributed.
-func (j *leafJoin) markStragglers(lpqcs []*lpq, rt float64) {
-	if rt <= 0 || rt >= 1 {
-		return
-	}
-	want := len(lpqcs) - int(math.Ceil(rt*float64(len(lpqcs))))
-	for ; want > 0; want-- {
-		worst := -1
-		for i, c := range lpqcs {
-			if j.dirty[i] || c.len() < c.k {
-				continue
-			}
-			if worst < 0 || j.bounds[i] > j.bounds[worst] {
-				worst = i
-			}
-		}
-		if worst < 0 {
-			break
-		}
-		j.dirty[worst] = true
-		j.hasDirty = true
-	}
-	if j.hasDirty {
-		j.refreshMaxOwnerBound()
-	}
-}
-
-// patienceFor converts the recall target into the stopping rule's
-// patience: the number of consecutive admission-free candidates after
-// which the drain gives up on the remaining stream. slots is the leaf's
-// total result capacity (owners x k): the shared stream serves every
-// owner at once, so the admission drought that licenses stopping must be
-// measured against all slots the stream could still improve, not one
-// owner's k. Stopping after slots/(1-rt) dry candidates means the
-// observed marginal admission rate has dropped below (1-rt)/slots per
-// candidate — at that rate, the remaining stream's expected contribution
-// to the leaf's results is below the tolerated 1-rt fraction. rt -> 1
-// makes the patience unbounded (exact); rt <= 0 disables the rule.
-func patienceFor(rt float64, slots int) int {
-	if rt <= 0 || rt >= 1 {
-		return 0
-	}
-	return int(math.Ceil(float64(slots) / (1 - rt)))
-}
-
-// allFull reports whether every owner already holds its full k
-// candidates — the stopping rule's non-starvation guard.
-func (j *leafJoin) allFull() bool {
-	for _, c := range j.lpqcs {
-		if c.len() < c.k {
-			return false
-		}
-	}
-	return true
-}
-
-// finish drops the references held by the scratch so recycled LPQs and
-// evicted cache slices are not pinned between leaves.
-func (j *leafJoin) finish() {
-	j.lpqcs = nil
-	j.leafMBR = geom.Rect{}
-	j.work.Reset()
-	j.stats = nil
-	j.sched = nil
-	j.clearBatch()
-}
-
-func (j *leafJoin) clearBatch() {
-	for i := range j.candEnts {
-		j.candEnts[i] = nil
-	}
-	j.candEnts = j.candEnts[:0]
-	j.candFlat = j.candFlat[:0]
-	j.candPre = j.candPre[:0]
-}
-
-func (j *leafJoin) refreshMaxOwnerBound() {
-	j.maxOwnerBound = math.Inf(-1)
-	j.maxOwnerIdx = -1
-	for i, b := range j.bounds {
-		if j.dirty[i] {
-			continue
-		}
-		if b > j.maxOwnerBound {
-			j.maxOwnerBound = b
-			j.maxOwnerIdx = i
-		}
-	}
-}
-
-// tighten records owner i's new bound after an enqueue. Bounds never grow
-// during a leaf join, so the cached max only needs a rescan when the
-// argmax owner itself tightened.
-func (j *leafJoin) tighten(i int, b float64) {
-	j.bounds[i] = b
-	if i == j.maxOwnerIdx {
-		j.refreshMaxOwnerBound()
-	}
-}
-
-// probeOne offers one candidate object to every owner of the leaf — the
-// scalar reference path the batch form is tested against.
-func (j *leafJoin) probeOne(cand *index.Entry) {
-	cp := cand.Point
-	// Pre-filter against the leaf MBR: a candidate farther from the whole
-	// leaf than every owner's bound cannot survive any per-owner probe.
-	// The vast majority of candidates fall here for the price of a single
-	// distance evaluation.
-	j.stats.DistanceCalcs++
-	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
-		j.stats.PrunedOnProbe += uint64(len(j.lpqcs))
-		j.sinceAdmit++
-		return
-	}
-	j.stats.DistanceCalcs += uint64(len(j.lpqcs))
-	admitted := false
-	for i := range j.lpqcs {
-		base := j.flat[i*j.dim : (i+1)*j.dim]
-		limit := j.bounds[i]
-		var s float64
-		pruned := false
-		for d := 0; d < j.dim; d++ {
-			diff := base[d] - cp[d]
-			s += diff * diff
-			if s > limit {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			j.stats.PrunedOnProbe++
-			continue
-		}
-		c := j.lpqcs[i]
-		c.enqueueChecked(lpqItem{e: cand, mind: s, maxd: s})
-		j.tighten(i, c.admitBound())
-		admitted = true
-	}
-	if admitted {
-		j.sinceAdmit = 0
-	} else {
-		j.sinceAdmit++
-	}
-}
-
-// add runs the snapshot prefilter on one candidate and gathers survivors
-// into the batch buffers, flushing a full tile through the kernel. The
-// prefilter bound may be stale by up to one tile (looser than live), so a
-// reject here is always also a live reject; survivors are re-checked
-// against the live bound when their tile commits.
-func (j *leafJoin) add(cand *index.Entry) {
-	cp := cand.Point
-	j.stats.DistanceCalcs++
-	pre := geom.MinDistPointRectSq(cp, j.leafMBR)
-	if pre > j.maxOwnerBound {
-		j.stats.PrunedOnProbe += uint64(len(j.lpqcs))
-		j.sinceAdmit++
-		return
-	}
-	j.gatherCand(cand, cp, pre)
-}
-
-func (j *leafJoin) gatherCand(cand *index.Entry, cp geom.Point, pre float64) {
-	j.candEnts = append(j.candEnts, cand)
-	j.candFlat = append(j.candFlat, cp...)
-	j.candPre = append(j.candPre, pre)
-	if len(j.candEnts) >= geom.BlockCandTile {
-		j.flush()
-	}
-}
-
-// flush pushes the gathered candidate tile through the blocked distance
-// kernel and commits the results in candidate order. Owner bounds used as
-// kernel early-out limits are a snapshot taken here; the commit loop
-// re-reads the live bounds, which by the tightening-only argument above
-// can only prune more — and a pair the kernel aborted stored a partial
-// sum already above its snapshot limit, hence above the live one too.
-func (j *leafJoin) flush() {
-	n := len(j.candEnts)
-	if n == 0 {
-		return
-	}
-	m := len(j.lpqcs)
-	need := n * m
-	if cap(j.block) < need {
-		j.block = make([]float64, need)
-	}
-	blk := j.block[:need]
-	earlyOuts := geom.DistSqBlock(j.flat, m, j.candFlat, n, j.dim, j.bounds, blk)
-	if j.sched != nil {
-		j.sched.KernelBlocks++
-		j.sched.KernelPairs += uint64(need)
-		j.sched.KernelEarlyOuts += uint64(earlyOuts)
-	}
-	for k := 0; k < n; k++ {
-		// Re-run the prefilter against the now-live max bound: identical
-		// to the scalar path's live decision for this candidate.
-		if j.candPre[k] > j.maxOwnerBound {
-			j.stats.PrunedOnProbe += uint64(m)
-			j.candEnts[k] = nil
-			j.sinceAdmit++
-			continue
-		}
-		j.stats.DistanceCalcs += uint64(m)
-		row := blk[k*m : k*m+m]
-		cand := j.candEnts[k]
-		admitted := false
-		for i := 0; i < m; i++ {
-			if row[i] > j.bounds[i] {
-				j.stats.PrunedOnProbe++
-				continue
-			}
-			c := j.lpqcs[i]
-			c.enqueueChecked(lpqItem{e: cand, mind: row[i], maxd: row[i]})
-			j.tighten(i, c.admitBound())
-			admitted = true
-		}
-		if admitted {
-			j.sinceAdmit = 0
-		} else {
-			j.sinceAdmit++
-		}
-		j.candEnts[k] = nil
-	}
-	j.candEnts = j.candEnts[:0]
-	j.candFlat = j.candFlat[:0]
-	j.candPre = j.candPre[:0]
-}
-
-// probeAll offers every candidate of a fully expanded leaf node through
-// the batch path. Candidates are read by index over the shared slice; an
-// entry pointer is materialised only for prefilter survivors.
-func (j *leafJoin) probeAll(cands []index.Entry) {
-	m := uint64(len(j.lpqcs))
-	for ci := range cands {
-		cp := cands[ci].Point
-		j.stats.DistanceCalcs++
-		pre := geom.MinDistPointRectSq(cp, j.leafMBR)
-		if pre > j.maxOwnerBound {
-			j.stats.PrunedOnProbe += m
-			j.sinceAdmit++
-			continue
-		}
-		j.gatherCand(&cands[ci], cp, pre)
-	}
-	j.flush()
-}
-
-// drainToObjects distributes the candidates of a leaf owner's LPQ over
-// the per-object child LPQs, expanding candidate nodes (best-first by
-// MIND to the leaf owner) until only objects remain. Nodes whose MIND
-// exceeds every object's bound are discarded along with everything
-// farther.
-func (e *engine) drainToObjects(q *lpq, lpqcs []*lpq) error {
-	j := &e.join
-	j.reset(e.ir.Dim(), q, lpqcs, e.stats, &e.sched)
-	defer j.finish()
-	for {
-		it, ok := q.dequeue()
-		if !ok {
-			break
-		}
-		if it.e.Kind == index.ObjectEntry {
-			j.add(it.e)
-		} else {
-			j.work.Push(it.mind, it.e)
-		}
-	}
-	// Every bound-dependent decision below (the heap cut-off and the
-	// node-push pruning) must see bounds that reflect all earlier probes,
-	// exactly as the scalar path would — so the gathered tile is flushed
-	// before each work-heap pop.
-	j.flush()
-	j.markStragglers(lpqcs, e.opts.RecallTarget)
-	j.patience = patienceFor(e.opts.RecallTarget, q.k*len(lpqcs))
-	j.sinceAdmit = 0
-	for j.work.Len() > 0 {
-		if err := e.checkCancel(); err != nil {
-			return err
-		}
-		if j.patience > 0 && j.sinceAdmit >= j.patience && j.allFull() {
-			// Recall-targeted stop: the drain has committed patience
-			// candidates in a row without a single admission anywhere in
-			// the leaf. The remaining (farther) subtrees are abandoned.
-			e.stats.LPQEarlyTerms++
-			e.stats.PrunedSubtrees += uint64(j.work.Len())
-			break
-		}
-		item, _ := j.work.Pop()
-		maxBound := j.maxOwnerBound
-		if item.Key > maxBound {
-			if e.shrink != 1 || j.hasDirty {
-				// bounds[] hold shrunk admission bounds over the clean
-				// owners only; the cut is approx-attributable when the
-				// exact all-owner bounds disagree.
-				exact := math.Inf(-1)
-				for _, c := range lpqcs {
-					if b := c.slackBound(); b > exact {
-						exact = b
-					}
-				}
-				if item.Key <= exact {
-					e.stats.LPQEarlyTerms++
-				}
-			}
-			e.stats.PrunedSubtrees += 1 + uint64(j.work.Len())
-			break
-		}
-		cands, err := e.expandS(item.Value)
-		if err != nil {
-			return err
-		}
-		e.stats.NodesExpandedS++
-		allObjects := true
-		for ci := range cands {
-			if cands[ci].Kind != index.ObjectEntry {
-				allObjects = false
-				break
-			}
-		}
-		if allObjects {
-			j.probeAll(cands)
-			continue
-		}
-		for ci := range cands {
-			cand := &cands[ci]
-			if cand.Kind == index.ObjectEntry {
-				j.add(cand)
-			} else {
-				e.stats.DistanceCalcs++
-				mind := e.minDistUncounted(q.owner, cand)
-				if mind <= maxBound {
-					j.work.Push(mind, cand)
-				} else {
-					e.stats.PrunedOnProbe++
-				}
-			}
-		}
-		j.flush()
-	}
-	return nil
-}
-
-// gather is the Gather Stage: the owner is a data object r, and the LPQ
-// is drained best-first until the k nearest objects are known.
+// gather is the Gather Stage of the PerObjectGather ablation: the owner
+// is a data object r, and its LPQ is drained best-first until the k
+// nearest objects are known.
 func (e *engine) gather(q *lpq) error {
 	r := q.owner
-	k := q.k
-	if e.gatherBest == nil || e.gatherBest.K() != k {
-		e.gatherBest = pq.NewKBest[*index.Entry](k)
-	} else {
-		e.gatherBest.Reset()
-	}
-	best := e.gatherBest
+	best := e.kBest(q.k)
 	for {
 		if err := e.checkCancel(); err != nil {
 			return err
@@ -1103,7 +657,23 @@ func (e *engine) gather(q *lpq) error {
 	}
 
 	e.gatherTop = best.AppendItems(e.gatherTop[:0])
-	items := e.gatherTop
+	return e.emitRow(r, e.gatherTop)
+}
+
+// kBest returns the engine's reusable k-best collector, emptied.
+func (e *engine) kBest(k int) *pq.KBest[*index.Entry] {
+	if e.gatherBest == nil || e.gatherBest.K() != k {
+		e.gatherBest = pq.NewKBest[*index.Entry](k)
+	} else {
+		e.gatherBest.Reset()
+	}
+	return e.gatherBest
+}
+
+// emitRow emits query object r's result row from its k best (squared
+// distances, ascending): r itself is skipped once under ExcludeSelf, and
+// the row is capped at Options.K neighbors.
+func (e *engine) emitRow(r *index.Entry, items []pq.Item[*index.Entry]) error {
 	neighbors := make([]Neighbor, 0, e.opts.K)
 	selfSeen := false
 	for _, it := range items {

@@ -117,12 +117,14 @@ type Options struct {
 	// exists for ablation.
 	VolatileBounds bool
 	// PerObjectGather selects the paper's literal leaf handling: each
-	// query object's Gather Stage individually re-expands whatever
-	// candidate nodes remain above object level. By default the engine
-	// instead drains candidates to object level once per I_R leaf and
-	// shares the expansions across all of the leaf's object LPQs,
-	// maximising the synchronized-traversal locality the paper argues
-	// for. The literal variant exists for ablation.
+	// query object gets an LPQ whose Gather Stage individually re-expands
+	// whatever candidate nodes remain above object level. By default the
+	// engine instead drains candidates to object level once per I_R leaf,
+	// shares the expansions across all of the leaf's query objects and
+	// keeps each object's k best in flat per-owner arrays, maximising the
+	// synchronized-traversal locality the paper argues for. Neighbor
+	// distances are the same either way; the literal variant exists for
+	// ablation.
 	PerObjectGather bool
 	// Parallelism is the number of worker goroutines draining independent
 	// subtrees of the query index concurrently. 0 and 1 run the serial

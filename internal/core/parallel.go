@@ -38,8 +38,9 @@ const (
 // serialisation.
 //
 // The root of I_R (and as many further levels as needed) is expanded
-// serially into a frontier of LPQs whose concatenated depth-first
-// traversal equals the serial traversal exactly. The frontier seeds a
+// serially into a frontier of LPQs (and the rows of any leaf joined on
+// the way) whose concatenated depth-first traversal equals the serial
+// traversal exactly. The frontier seeds a
 // work-stealing scheduler: each worker owns a deque of subtree tasks,
 // pops locally from the tail (LIFO — depth-first order, warm caches) and
 // steals from another worker's head (FIFO — the oldest, typically
@@ -101,15 +102,44 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 		tree, rootSlots = newEmitTree(e.emit, n)
 	}
 
+	// Leaves joined while the frontier was built already hold their rows:
+	// they fill their slot (or, unordered, go straight out) before any
+	// worker starts, and only the remaining parts become tasks.
+	tasks := 0
+	for i, p := range frontier {
+		if p.q != nil {
+			tasks++
+			continue
+		}
+		if tree != nil {
+			err = tree.finish(rootSlots[i], p.rows)
+		} else {
+			for _, r := range p.rows {
+				if err = e.emit(r); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if tasks == 0 {
+		return nil
+	}
+
 	// Seed the deques: worker w starts with a contiguous block of the
 	// depth-first frontier, pushed in reverse so its LIFO pops drain the
 	// block in depth-first order (thieves take the block's tail first).
-	s.pending.Store(int64(n))
-	s.queued.Store(int64(n))
+	s.pending.Store(int64(tasks))
+	s.queued.Store(int64(tasks))
 	for w := 0; w < workers; w++ {
 		lo, hi := w*n/workers, (w+1)*n/workers
 		for i := hi - 1; i >= lo; i-- {
-			t := &wsTask{q: frontier[i], seq: int64(i)}
+			if frontier[i].q == nil {
+				continue
+			}
+			t := &wsTask{q: frontier[i].q, seq: int64(i)}
 			if tree != nil {
 				t.slot = rootSlots[i]
 			}
@@ -134,6 +164,22 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				shrink: e.shrink,
 				ctx:    e.ctx, cancelled: e.cancelled,
 				tr: e.tr, tid: wtid, tm: wtm}
+			// Ordered mode buffers each task's rows for its emit slot (a
+			// split leaf owner emits too); unordered mode serialises the
+			// callback.
+			var buf []Result
+			if tree != nil {
+				we.emit = func(r Result) error {
+					buf = append(buf, r)
+					return nil
+				}
+			} else {
+				we.emit = func(r Result) error {
+					emitMu.Lock()
+					defer emitMu.Unlock()
+					return e.emit(r)
+				}
+			}
 			if e.memoS != nil {
 				we.memoS = new(nodeMemo)
 			}
@@ -174,6 +220,7 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				// re-point at this worker's private counters before
 				// touching them concurrently.
 				q.stats = &wstats
+				buf = nil
 
 				if !q.owner.IsObject() && uint64(q.owner.Count) > s.threshold {
 					// Straggler: split instead of draining in place.
@@ -193,9 +240,10 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 						e.tr.Complete("split", wtid, tSplit, time.Now(), "children", int64(len(children)))
 					}
 					if len(children) == 0 {
-						// Nothing below survived pruning; the slot is done.
+						// A leaf owner: its rows (already emitted when
+						// unordered) complete the slot.
 						if tree != nil {
-							if err := tree.finish(t.slot, nil); err != nil {
+							if err := tree.finish(t.slot, buf); err != nil {
 								s.fail(err)
 							}
 						}
@@ -227,38 +275,19 @@ func (e *engine) runParallel(root *lpq, workers int) error {
 				if timed {
 					tSub = time.Now()
 				}
+				if err := we.dfbi(q); err != nil {
+					s.fail(err)
+					s.retire()
+					break
+				}
+				if timed {
+					finishSubtree(e.tr, subtreeHist, wtid, t.seq, tSub)
+				}
 				if tree != nil {
-					var buf []Result
-					we.emit = func(r Result) error {
-						buf = append(buf, r)
-						return nil
-					}
-					if err := we.dfbi(q); err != nil {
-						s.fail(err)
-						s.retire()
-						break
-					}
-					if timed {
-						finishSubtree(e.tr, subtreeHist, wtid, t.seq, tSub)
-					}
 					if err := tree.finish(t.slot, buf); err != nil {
 						s.fail(err)
 						s.retire()
 						break
-					}
-				} else {
-					we.emit = func(r Result) error {
-						emitMu.Lock()
-						defer emitMu.Unlock()
-						return e.emit(r)
-					}
-					if err := we.dfbi(q); err != nil {
-						s.fail(err)
-						s.retire()
-						break
-					}
-					if timed {
-						finishSubtree(e.tr, subtreeHist, wtid, t.seq, tSub)
 					}
 				}
 				we.sched.Tasks++
@@ -287,38 +316,59 @@ func finishSubtree(tr *obs.Tracer, hist *obs.Histogram, tid int64, seq int64, st
 	hist.Observe(float64(end.Sub(start).Nanoseconds()))
 }
 
+// frontierPart is one element of the parallel frontier: either an LPQ
+// subtree still to drain, or (q == nil) the rows of a leaf of I_R that
+// was joined while the frontier was built.
+type frontierPart struct {
+	q    *lpq
+	rows []Result
+}
+
 // buildFrontier expands the query index serially, level by level, until
-// the frontier holds at least target LPQs or only object owners remain.
-// Each node-owner LPQ is replaced in place by its children, so the
-// concatenation of the frontier subtrees' depth-first traversals is
-// exactly the serial traversal order.
-func (e *engine) buildFrontier(root *lpq, target int) ([]*lpq, error) {
-	frontier := []*lpq{root}
+// the frontier holds at least target parts or no LPQ owns a node. Each
+// node-owner LPQ is replaced in place by its children — or, for a leaf,
+// by the rows its join produced — so the concatenation of the parts'
+// depth-first outputs is exactly the serial traversal order.
+func (e *engine) buildFrontier(root *lpq, target int) ([]frontierPart, error) {
+	var rows []Result
+	emit := e.emit
+	e.emit = func(r Result) error {
+		rows = append(rows, r)
+		return nil
+	}
+	defer func() { e.emit = emit }()
+	frontier := []frontierPart{{q: root}}
 	for {
 		if err := e.checkCancel(); err != nil {
 			return nil, err
 		}
 		expandable := 0
-		for _, q := range frontier {
-			if !q.owner.IsObject() {
+		for _, p := range frontier {
+			if p.q != nil && !p.q.owner.IsObject() {
 				expandable++
 			}
 		}
 		if expandable == 0 || len(frontier) >= target {
 			return frontier, nil
 		}
-		next := make([]*lpq, 0, len(frontier)*2)
-		for _, q := range frontier {
-			if q.owner.IsObject() {
-				next = append(next, q)
+		next := make([]frontierPart, 0, len(frontier)*2)
+		for _, p := range frontier {
+			if p.q == nil || p.q.owner.IsObject() {
+				next = append(next, p)
 				continue
 			}
-			children, err := e.expandAndPrune(q)
+			rows = nil
+			children, err := e.expandAndPrune(p.q)
 			if err != nil {
 				return nil, err
 			}
-			e.putLPQ(q)
-			next = append(next, children...)
+			e.putLPQ(p.q)
+			if rows != nil {
+				next = append(next, frontierPart{rows: rows})
+			}
+			for _, c := range children {
+				next = append(next, frontierPart{q: c})
+			}
 		}
 		frontier = next
 	}

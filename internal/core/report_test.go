@@ -168,7 +168,10 @@ type coreTraceDoc struct {
 
 // TestTraceSpanNesting runs a traced serial query and checks the span
 // taxonomy: setup+seed+traverse cover (almost) all of the query span,
-// and every filter span lies inside an expand span on the same lane.
+// and every filter and gather span lies inside an expand span on the
+// same lane. The gather half is the leaf join's contract: without
+// PerObjectGather no query object gets an LPQ of its own, so every
+// Gather Stage is a leaf's row emission inside the leaf's expansion.
 func TestTraceSpanNesting(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pts := clusteredPoints(rng, 1000, 2, 100)
@@ -190,7 +193,7 @@ func TestTraceSpanNesting(t *testing.T) {
 	type span struct{ ts, end float64 }
 	var query *span
 	phases := map[string]span{}
-	var expands, filters []span
+	var expands, filters, gathers []span
 	for _, e := range doc.TraceEvents {
 		if e.Ph != "X" || e.Dur == nil {
 			continue
@@ -206,6 +209,8 @@ func TestTraceSpanNesting(t *testing.T) {
 			expands = append(expands, s)
 		case "filter":
 			filters = append(filters, s)
+		case "gather":
+			gathers = append(gathers, s)
 		}
 	}
 	if query == nil {
@@ -224,19 +229,22 @@ func TestTraceSpanNesting(t *testing.T) {
 	if wall := query.end - query.ts; covered < 0.95*wall {
 		t.Fatalf("phase spans cover %.1f%% of the query wall time, want >= 95%%", 100*covered/wall)
 	}
-	if len(expands) == 0 || len(filters) == 0 {
-		t.Fatalf("trace has %d expand and %d filter spans, want both > 0", len(expands), len(filters))
+	if len(expands) == 0 || len(filters) == 0 || len(gathers) == 0 {
+		t.Fatalf("trace has %d expand, %d filter and %d gather spans, want all > 0",
+			len(expands), len(filters), len(gathers))
 	}
-	for _, f := range filters {
-		contained := false
-		for _, e := range expands {
-			if f.ts >= e.ts-0.001 && f.end <= e.end+0.001 {
-				contained = true
-				break
+	for name, spans := range map[string][]span{"filter": filters, "gather": gathers} {
+		for _, f := range spans {
+			contained := false
+			for _, e := range expands {
+				if f.ts >= e.ts-0.001 && f.end <= e.end+0.001 {
+					contained = true
+					break
+				}
 			}
-		}
-		if !contained {
-			t.Fatalf("filter span [%g,%g] not contained in any expand span", f.ts, f.end)
+			if !contained {
+				t.Fatalf("%s span [%g,%g] not contained in any expand span", name, f.ts, f.end)
+			}
 		}
 	}
 }

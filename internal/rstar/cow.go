@@ -167,3 +167,8 @@ func (s *Snapshot) SetNodeCache(c *index.NodeCache) { s.t.SetNodeCache(c) }
 
 // NodeCacheRef implements index.NodeCacher.
 func (s *Snapshot) NodeCacheRef() *index.NodeCache { return s.t.NodeCacheRef() }
+
+// Pool returns the parent tree's buffer pool, which serves every read of
+// the snapshot — so a query report over a snapshot attributes its pool
+// activity.
+func (s *Snapshot) Pool() *storage.BufferPool { return s.t.pool }
