@@ -15,22 +15,24 @@
 // (default) fails the request with SHARD_UNAVAILABLE; degraded answers
 // from the live shards and marks the reply PARTIAL_RESULT. SIGTERM or
 // SIGINT drains gracefully, exactly as annserve does.
+//
+// -pprof-addr serves /metrics (router.* counters and per-op and
+// per-dataset latency histograms), /debug/requests (the in-flight
+// table) and /debug/slow alongside /debug/pprof/.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"allnn/internal/obs"
 	"allnn/internal/router"
+	"allnn/internal/server"
 )
 
 func main() {
@@ -111,7 +113,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			m.Name, len(m.Shards), m.Curve, mode)
 	}
 
-	stopProf, err := prof.Start(reg)
+	stopProf, err := prof.Start(reg, rt.DebugRoutes()...)
 	if err != nil {
 		return err
 	}
@@ -121,7 +123,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		}
 	}()
 	if prof.BoundAddr != "" {
-		fmt.Fprintf(stderr, "annrouter: obs endpoints on http://%s/ (metrics, metrics/prom, debug/pprof)\n", prof.BoundAddr)
+		fmt.Fprintf(stderr, "annrouter: obs endpoints on http://%s/ (metrics, metrics/prom, debug/slow, debug/requests, debug/pprof)\n", prof.BoundAddr)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -133,25 +135,5 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- rt.Serve(ln) }()
-
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(stderr, "annrouter: %v: draining (timeout %v)\n", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			fmt.Fprintf(stderr, "annrouter: drain: %v (in-flight queries were cancelled)\n", err)
-		} else {
-			fmt.Fprintf(stderr, "annrouter: drained cleanly\n")
-		}
-		return <-serveDone
-	case err := <-serveDone:
-		return err
-	}
+	return server.ServeUntilSignal("annrouter", stderr, rt, ln, *drainTimeout)
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -26,8 +28,9 @@ import (
 // TestRouterSmoke is the `make router-smoke` CI check: two in-process
 // annserve shards behind one annrouter started through its real main
 // path (shard-map file, flags, signal handling), byte parity against
-// direct library calls over the curve-ordered dataset, then a real
-// SIGTERM and a clean drain.
+// direct library calls over the curve-ordered dataset, a decoded
+// /debug/requests from the -pprof-addr endpoint, then a real SIGTERM
+// and a clean drain.
 func TestRouterSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pts := make([]geom.Point, 1200)
@@ -112,6 +115,7 @@ func TestRouterSmoke(t *testing.T) {
 		done <- run([]string{
 			"-addr", "127.0.0.1:0",
 			"-shardmap", mapPath,
+			"-pprof-addr", "127.0.0.1:0",
 			"-drain-timeout", "30s",
 		}, safeStderr, ready)
 	}()
@@ -163,6 +167,37 @@ func TestRouterSmoke(t *testing.T) {
 	}
 	if len(m.Shards) != 2 || m.Name != "pts" {
 		t.Fatalf("served shard map: %+v", m)
+	}
+
+	// The router mounts the shell's debug routes: its in-flight table
+	// serves valid JSON (idle by now). The obs server starts before the
+	// listener, so its address line is on stderr already.
+	stderrMu.Lock()
+	var obsAddr string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "annrouter: obs endpoints on http://"); ok {
+			obsAddr = rest[:strings.IndexByte(rest, '/')]
+		}
+	}
+	stderrMu.Unlock()
+	if obsAddr == "" {
+		t.Fatal("no obs-endpoints line on stderr")
+	}
+	resp, err := http.Get("http://" + obsAddr + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live struct {
+		Count    int   `json:"count"`
+		Requests []any `json:"requests"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&live)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/requests: %s, decode error %v", resp.Status, err)
+	}
+	if live.Count != len(live.Requests) {
+		t.Fatalf("/debug/requests count %d disagrees with its %d rows", live.Count, len(live.Requests))
 	}
 
 	// SIGTERM → clean drain.

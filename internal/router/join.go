@@ -9,6 +9,7 @@ import (
 	"allnn/ann"
 	"allnn/ann/client"
 	"allnn/internal/geom"
+	"allnn/internal/server"
 	"allnn/internal/wire"
 )
 
@@ -48,16 +49,16 @@ type strip struct {
 	pts []ann.Point
 }
 
-func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *frameWriter) error {
+func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *server.ResponseWriter) error {
 	if req.R != req.S {
-		return badRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (join a routed dataset against itself, or run cross-dataset joins on a single backend)", req.R, req.S)
+		return server.BadRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (join a routed dataset against itself, or run cross-dataset joins on a single backend)", req.R, req.S)
 	}
 	ds, err := r.dataset(req.R)
 	if err != nil {
 		return err
 	}
 	if !(req.Dist >= 0) {
-		return badRequest("distance must be non-negative, got %v", req.Dist)
+		return server.BadRequest("distance must be non-negative, got %v", req.Dist)
 	}
 	d := req.Dist
 	g := r.newGather()
@@ -168,7 +169,7 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 		if len(frame.Pairs) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Pairs = frame.Pairs[:0]
 		return err
 	}
@@ -202,15 +203,15 @@ func (r *Router) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 // or — per the protocol's degraded-stream convention — a KindError
 // frame with PARTIAL_RESULT in place of KindEnd when shards were lost
 // (everything streamed before it remains valid).
-func (r *Router) endStream(hdr wire.RequestHeader, g *gather, total uint64, w *frameWriter) error {
+func (r *Router) endStream(hdr wire.RequestHeader, g *gather, total uint64, w *server.ResponseWriter) error {
 	if p := r.finishPartial(g.partial()); p != nil {
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{
+		w.SendError(hdr.ID, hdr.Op, &wire.Error{
 			Code: wire.CodePartialResult,
 			Msg:  "shards unavailable: " + joinNames(p.Missing),
 		})
 		return nil
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
+	return w.Send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
 }
 
 func joinNames(names []string) string {
@@ -237,16 +238,16 @@ func joinNames(names []string) string {
 // so emitting shard streams in shard order yields the same ascending-id
 // result stream a single node produces over the curve-ordered dataset.
 
-func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wire.JoinReq, w *frameWriter) error {
+func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wire.JoinReq, w *server.ResponseWriter) error {
 	if !req.Self {
-		return badRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (run cross-dataset joins on a single backend)", req.R, req.S)
+		return server.BadRequest("the router distributes self-joins of one routed dataset; got R=%q, S=%q (run cross-dataset joins on a single backend)", req.R, req.S)
 	}
 	ds, err := r.dataset(req.R)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return server.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	k := int(req.K)
 	g := r.newGather()
@@ -359,7 +360,7 @@ func (r *Router) handleJoin(ctx context.Context, hdr wire.RequestHeader, req *wi
 		if len(frame.Results) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Results = frame.Results[:0]
 		return err
 	}

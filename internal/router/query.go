@@ -9,6 +9,7 @@ import (
 	"allnn/ann"
 	"allnn/ann/client"
 	"allnn/internal/geom"
+	"allnn/internal/server"
 	"allnn/internal/wire"
 )
 
@@ -207,16 +208,16 @@ func shardIndex(ds *dataset, s *shard) int {
 	return -1
 }
 
-func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *frameWriter) error {
+func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *server.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return server.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	if len(req.Point) != ds.dim {
-		return badRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
+		return server.BadRequest("query point has %d dims, dataset %q has %d", len(req.Point), req.Index, ds.dim)
 	}
 	g := r.newGather()
 	res, pruned, err := r.routedBatch(ctx, g, ds, [][]float64{req.Point}, int(req.K))
@@ -224,23 +225,23 @@ func (r *Router) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wir
 		return err
 	}
 	r.prune(pruned)
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{
 		Neighbors: res[0],
 		Partial:   r.finishPartial(g.partial()),
 	})
 }
 
-func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *frameWriter) error {
+func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *server.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
 	}
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return server.BadRequest("k must be at least 1, got %d", req.K)
 	}
 	for i, p := range req.Points {
 		if len(p) != ds.dim {
-			return badRequest("query point %d has %d dims, dataset %q has %d", i, len(p), req.Index, ds.dim)
+			return server.BadRequest("query point %d has %d dims, dataset %q has %d", i, len(p), req.Index, ds.dim)
 		}
 	}
 	g := r.newGather()
@@ -253,7 +254,7 @@ func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 	for i, p := range req.Points {
 		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: res[i]}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{
 		Results: results,
 		Partial: r.finishPartial(g.partial()),
 	})
@@ -265,11 +266,11 @@ func (r *Router) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 // MBR intersects it, counting the rest as pruned.
 func (r *Router) boxShards(ds *dataset, name string, lo, hi []float64) ([]*shard, *wire.Error) {
 	if len(lo) != ds.dim || len(hi) != ds.dim {
-		return nil, badRequest("box dims (%d, %d) do not match dataset %q dim %d", len(lo), len(hi), name, ds.dim)
+		return nil, server.BadRequest("box dims (%d, %d) do not match dataset %q dim %d", len(lo), len(hi), name, ds.dim)
 	}
 	for d := range lo {
 		if lo[d] > hi[d] {
-			return nil, badRequest("inverted box bounds in dimension %d: [%g, %g]", d, lo[d], hi[d])
+			return nil, server.BadRequest("inverted box bounds in dimension %d: [%g, %g]", d, lo[d], hi[d])
 		}
 	}
 	box := geom.Rect{Lo: lo, Hi: hi}
@@ -286,7 +287,7 @@ func (r *Router) boxShards(ds *dataset, name string, lo, hi []float64) ([]*shard
 	return hit, nil
 }
 
-func (r *Router) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *frameWriter) error {
+func (r *Router) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *server.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
@@ -320,13 +321,13 @@ func (r *Router) handleRange(ctx context.Context, hdr wire.RequestHeader, req *w
 	// Canonical routed order: ascending global id (a single node's
 	// traversal order does not survive a merge).
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{
 		IDs:     ids,
 		Partial: r.finishPartial(g.partial()),
 	})
 }
 
-func (r *Router) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *frameWriter) error {
+func (r *Router) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *server.ResponseWriter) error {
 	ds, err := r.dataset(req.Index)
 	if err != nil {
 		return err
@@ -372,5 +373,5 @@ func (r *Router) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, 
 		reply.IDs[i] = e.id
 		reply.Points[i] = e.pt
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, reply)
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, reply)
 }

@@ -1,12 +1,9 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,12 +11,9 @@ import (
 
 	"allnn/ann/client"
 	"allnn/internal/obs"
+	"allnn/internal/server"
 	"allnn/internal/wire"
 )
-
-// handshakeTimeout bounds a fresh connection's preamble, as in
-// internal/server.
-const handshakeTimeout = 10 * time.Second
 
 // Mode selects the router's failure policy when a shard's backend is
 // unreachable after retries.
@@ -79,7 +73,10 @@ type Config struct {
 
 // Router serves the wire protocol over one or more shard-mapped
 // datasets, scatter-gathering each request across the owning backends.
+// The transport is its embedded server.Shell (metric family
+// "router"); the Router itself is the Shell's Handler.
 type Router struct {
+	*server.Shell
 	cfg      Config
 	datasets map[string]*dataset
 
@@ -87,27 +84,13 @@ type Router struct {
 	// outstanding backend RPC, router-wide.
 	fanout chan struct{}
 
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu            sync.Mutex
-	listeners     map[net.Listener]struct{}
-	conns         map[net.Conn]struct{}
-	activeReqs    int
-	draining      bool
-	drained       chan struct{}
-	drainedClosed bool
-	connWG        sync.WaitGroup
-
-	// router.* metrics (nil-safe through the registry).
-	requests        *obs.Counter
-	errors          *obs.Counter
+	// router.* metrics beyond the shell's (nil-safe through the
+	// registry).
 	shardsContacted *obs.Counter
 	shardsPruned    *obs.Counter
 	unavailable     *obs.Counter
 	partials        *obs.Counter
 	mergeStreams    *obs.Histogram
-	latencies       map[wire.Op]*obs.Histogram
 }
 
 // New creates a Router over the given shard maps (one per logical
@@ -126,12 +109,9 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 		cfg.BackoffMax = 5 * time.Second
 	}
 	r := &Router{
-		cfg:       cfg,
-		datasets:  make(map[string]*dataset),
-		fanout:    make(chan struct{}, cfg.MaxFanout),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		drained:   make(chan struct{}),
+		cfg:      cfg,
+		datasets: make(map[string]*dataset),
+		fanout:   make(chan struct{}, cfg.MaxFanout),
 	}
 	for _, m := range maps {
 		if err := m.Validate(); err != nil {
@@ -146,111 +126,26 @@ func New(cfg Config, maps ...*MapFile) (*Router, error) {
 		}
 		r.datasets[m.Name] = ds
 	}
-	r.baseCtx, r.cancelBase = context.WithCancel(context.Background())
+	r.Shell = server.NewShell("router", []wire.Op{
+		wire.OpList, wire.OpShardMap,
+		wire.OpKNN, wire.OpBatchKNN, wire.OpRange, wire.OpRangePoints,
+		wire.OpJoin, wire.OpWithinDistance,
+	}, server.Config{Metrics: cfg.Metrics, Logf: cfg.Logf}, r)
 
 	reg := cfg.Metrics
-	r.requests = reg.Counter("router.requests")
-	r.errors = reg.Counter("router.errors")
 	r.shardsContacted = reg.Counter("router.shards_contacted")
 	r.shardsPruned = reg.Counter("router.shards_pruned")
 	r.unavailable = reg.Counter("router.shard_unavailable")
 	r.partials = reg.Counter("router.partial_results")
 	r.mergeStreams = reg.Histogram("router.merge.streams", obs.ExpBuckets(1, 2, 8))
-	r.latencies = make(map[wire.Op]*obs.Histogram)
-	for _, op := range []wire.Op{
-		wire.OpList, wire.OpShardMap,
-		wire.OpKNN, wire.OpBatchKNN, wire.OpRange, wire.OpRangePoints,
-		wire.OpJoin, wire.OpWithinDistance,
-	} {
-		r.latencies[op] = reg.Histogram("router."+op.String()+".latency_ns", obs.LatencyBuckets())
-	}
 	return r, nil
 }
 
-func (r *Router) log(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
-}
-
-// Serve accepts connections on ln until the listener fails or the
-// router drains. It returns nil on a drain-initiated stop.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		ln.Close()
-		return errors.New("router: already shut down")
-	}
-	r.listeners[ln] = struct{}{}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.listeners, ln)
-		r.mu.Unlock()
-		ln.Close()
-	}()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.connWG.Add(1)
-		go r.handleConn(conn)
-	}
-}
-
-// Shutdown drains the router: listeners close, new requests are
-// refused with SHUTTING_DOWN, in-flight requests finish (or are
-// cancelled when ctx expires), then connections — including backend
-// connections — are torn down.
+// Shutdown drains the router's shell — listeners close, new requests
+// are refused with SHUTTING_DOWN, in-flight requests finish (or are
+// cancelled when ctx expires) — then closes the backend connections.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return errors.New("router: shutdown already in progress")
-	}
-	r.draining = true
-	if r.activeReqs == 0 && !r.drainedClosed {
-		r.drainedClosed = true
-		close(r.drained)
-	}
-	for ln := range r.listeners {
-		ln.Close()
-	}
-	r.mu.Unlock()
-
-	var err error
-	select {
-	case <-r.drained:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.cancelBase()
-		<-r.drained
-	}
-
-	r.mu.Lock()
-	for conn := range r.conns {
-		conn.Close()
-	}
-	r.mu.Unlock()
-	r.connWG.Wait()
-	r.cancelBase()
+	err := r.Shell.Shutdown(ctx)
 	for _, ds := range r.datasets {
 		for _, s := range ds.shards {
 			s.backend.close()
@@ -259,116 +154,24 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	return err
 }
 
-func (r *Router) handleConn(conn net.Conn) {
-	remote := conn.RemoteAddr().String()
-	defer r.connWG.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			buf := make([]byte, 4096)
-			buf = buf[:runtime.Stack(buf, false)]
-			r.log("level=error msg=%q conn=%s panic=%v stack=%q", "connection panic", remote, rec, string(buf))
-		}
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	if err := wire.ReadHandshake(conn); err != nil {
-		r.log("level=warn msg=%q conn=%s err=%v", "handshake failed", remote, err)
-		return
+// Handle executes one decoded request; it is the Router's Handler
+// side.
+func (r *Router) Handle(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *server.ResponseWriter) error {
+	err := r.dispatch(ctx, hdr, body, w)
+	if wire.IsCode(err, wire.CodeShardUnavailable) {
+		r.unavailable.Inc()
 	}
-	conn.SetReadDeadline(time.Time{})
-
-	br := bufio.NewReader(conn)
-	w := &frameWriter{bw: bufio.NewWriter(conn)}
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				r.log("level=warn msg=%q conn=%s err=%v", "read failed", remote, err)
-			}
-			return
-		}
-		if !r.serveRequest(w, remote, payload) {
-			return
-		}
-	}
-}
-
-func (r *Router) serveRequest(w *frameWriter, remote string, payload []byte) bool {
-	hdr, body, err := wire.DecodeRequest(payload)
-	if err != nil {
-		r.log("level=warn msg=%q conn=%s req=%d err=%v", "bad request frame", remote, hdr.ID, err)
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-		return false
-	}
-	if !r.beginRequest() {
-		w.sendError(hdr.ID, hdr.Op, &wire.Error{Code: wire.CodeShuttingDown, Msg: "router is draining"})
-		return true
-	}
-	defer r.endRequest()
-
-	r.requests.Inc()
-	start := time.Now()
-	ctx := r.baseCtx
-	if hdr.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, hdr.Timeout)
-		defer cancel()
-	}
-	err = r.dispatch(ctx, hdr, body, w)
-	if h := r.latencies[hdr.Op]; h != nil {
-		h.Observe(float64(time.Since(start).Nanoseconds()))
-	}
-	if err != nil {
-		r.errors.Inc()
-		we := toWireError(err)
-		if we.Code == wire.CodeShardUnavailable {
-			r.unavailable.Inc()
-		}
-		r.log("level=info msg=%q conn=%s req=%d op=%s code=%s err=%q",
-			"request failed", remote, hdr.ID, hdr.Op, we.Code, we.Msg)
-		w.sendError(hdr.ID, hdr.Op, we)
-	}
-	return true
-}
-
-func (r *Router) beginRequest() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.draining {
-		return false
-	}
-	r.activeReqs++
-	return true
-}
-
-func (r *Router) endRequest() {
-	r.mu.Lock()
-	r.activeReqs--
-	if r.draining && r.activeReqs == 0 && !r.drainedClosed {
-		r.drainedClosed = true
-		close(r.drained)
-	}
-	r.mu.Unlock()
+	return err
 }
 
 // dispatch executes one decoded request. A returned error means no
 // terminal frame was written yet.
-func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *frameWriter) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.log("level=error msg=%q req=%d op=%s panic=%v", "request panic", hdr.ID, hdr.Op, rec)
-			err = &wire.Error{Code: wire.CodeInternal, Msg: "internal error (recovered panic)"}
-		}
-	}()
+func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *server.ResponseWriter) error {
 	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 {
-		return badRequest("the router serves exact queries only (epsilon=%v, recall_target=%v rejected): shard-local approximation bounds do not compose across a merge", hdr.Epsilon, hdr.RecallTarget)
+		return server.BadRequest("the router serves exact queries only (epsilon=%v, recall_target=%v rejected): shard-local approximation bounds do not compose across a merge", hdr.Epsilon, hdr.RecallTarget)
 	}
 	if hdr.WantReport {
-		return badRequest("WantReport is not supported on routed requests")
+		return server.BadRequest("WantReport is not supported on routed requests")
 	}
 
 	switch req := body.(type) {
@@ -379,7 +182,7 @@ func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire
 		if err != nil {
 			return err
 		}
-		return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ShardMapReply{Map: ds.wireMap})
+		return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.ShardMapReply{Map: ds.wireMap})
 	case *wire.KNNReq:
 		return r.handleKNN(ctx, hdr, req, w)
 	case *wire.BatchKNNReq:
@@ -393,19 +196,19 @@ func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire
 	case *wire.JoinReq:
 		return r.handleJoin(ctx, hdr, req, w)
 	case *wire.OpenReq, *wire.CloseReq:
-		return badRequest("the router's datasets are fixed by its shard map; open and close indexes on the shard backends")
+		return server.BadRequest("the router's datasets are fixed by its shard map; open and close indexes on the shard backends")
 	case *wire.InsertReq, *wire.DeleteReq:
-		return badRequest("mutations are not routed; write to the owning shard backend directly (the shard map's key ranges determine ownership)")
+		return server.BadRequest("mutations are not routed; write to the owning shard backend directly (the shard map's key ranges determine ownership)")
 	case *wire.StatsReq:
-		return badRequest("stats are per-backend; query the shard servers directly")
+		return server.BadRequest("stats are per-backend; query the shard servers directly")
 	case *wire.PairsReq:
-		return badRequest("closest-pairs is not distributed; run it against a single backend")
+		return server.BadRequest("closest-pairs is not distributed; run it against a single backend")
 	default:
-		return badRequest("unhandled request type %T", body)
+		return server.BadRequest("unhandled request type %T", body)
 	}
 }
 
-func (r *Router) handleList(hdr wire.RequestHeader, w *frameWriter) error {
+func (r *Router) handleList(hdr wire.RequestHeader, w *server.ResponseWriter) error {
 	names := make([]string, 0, len(r.datasets))
 	for name := range r.datasets {
 		names = append(names, name)
@@ -416,7 +219,7 @@ func (r *Router) handleList(hdr wire.RequestHeader, w *frameWriter) error {
 		ds := r.datasets[name]
 		infos[i] = wire.IndexInfo{Name: name, Points: ds.points(), Dim: uint32(ds.dim)}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: infos})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: infos})
 }
 
 // dataset resolves a logical dataset name.
@@ -590,60 +393,4 @@ func (r *Router) finishPartial(p *wire.PartialInfo) *wire.PartialInfo {
 		r.partials.Inc()
 	}
 	return p
-}
-
-// --- response writing -------------------------------------------------------
-
-// frameWriter serialises response frames for one connection, reusing
-// one encode buffer (internal/server's connWriter, minus the
-// per-request accounting).
-type frameWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-func (w *frameWriter) send(id uint64, kind wire.ResponseKind, op wire.Op, body wire.Message) error {
-	payload, err := wire.EncodeResponse(id, kind, op, body, w.buf)
-	if err != nil {
-		return err
-	}
-	w.buf = payload
-	if err := wire.WriteFrame(w.bw, payload); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *frameWriter) sendError(id uint64, op wire.Op, we *wire.Error) {
-	body := &wire.ErrorReply{Code: we.Code, Msg: we.Msg}
-	payload, err := wire.EncodeResponse(id, wire.KindError, op, body, w.buf)
-	if err != nil {
-		payload, err = wire.EncodeResponse(id, wire.KindError, wire.OpList, body, w.buf)
-		if err != nil {
-			return
-		}
-	}
-	w.buf = payload
-	if wire.WriteFrame(w.bw, payload) == nil {
-		w.bw.Flush()
-	}
-}
-
-// toWireError maps an internal failure to its protocol error class.
-func toWireError(err error) *wire.Error {
-	var we *wire.Error
-	switch {
-	case errors.As(err, &we):
-		return we
-	case errors.Is(err, context.DeadlineExceeded):
-		return &wire.Error{Code: wire.CodeDeadlineExceeded, Msg: "request deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		return &wire.Error{Code: wire.CodeShuttingDown, Msg: "request cancelled by router shutdown"}
-	default:
-		return &wire.Error{Code: wire.CodeInternal, Msg: err.Error()}
-	}
-}
-
-func badRequest(format string, args ...any) *wire.Error {
-	return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
 }

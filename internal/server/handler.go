@@ -20,23 +20,14 @@ const joinFrameResults = 512
 // (pairs are much smaller than results).
 const pairFrameCount = 4096
 
-// dispatch executes one decoded request and writes its response
-// frame(s). A returned error means no terminal frame was written yet;
-// the caller turns it into KindError.
-func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, body wire.Message, w *connWriter) (err error) {
-	// A panicking handler must not take the whole connection down:
-	// report INTERNAL and keep serving.
-	defer func() {
-		if r := recover(); r != nil {
-			s.log(LevelError, "request panic",
-				"req", hdr.ID, "trace", rc.traceID, "op", hdr.Op, "index", rc.index,
-				"panic", r)
-			err = &wire.Error{Code: wire.CodeInternal, Msg: "internal error (recovered panic)"}
-		}
-	}()
+// Handle executes one decoded request against the catalog and writes
+// its response frame(s); it is the Server's Handler side. Engine work
+// runs under withSlot admission, catalog ops bypass it.
+func (s *Server) Handle(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *ResponseWriter) error {
 	if s.testHook != nil {
 		s.testHook(hdr)
 	}
+	rc := w.req // the shell's record of this request
 
 	// The approximate-query knobs ride the request header, but only the
 	// ANN join honors them; every other operation is exact by contract
@@ -45,13 +36,13 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 	// rather than silently running an exact query the client believes is
 	// approximate.
 	if (hdr.Epsilon != 0 || hdr.RecallTarget != 0) && hdr.Op != wire.OpJoin {
-		return badRequest("approximate-query knobs (epsilon=%v, recall_target=%v) are only valid for %s, not %s",
+		return BadRequest("approximate-query knobs (epsilon=%v, recall_target=%v) are only valid for %s, not %s",
 			hdr.Epsilon, hdr.RecallTarget, wire.OpJoin, hdr.Op)
 	}
 	// Reports ride a stream's terminating StreamEnd, which only joins
 	// produce; asking for one anywhere else is equally malformed.
 	if hdr.WantReport && hdr.Op != wire.OpJoin {
-		return badRequest("WantReport is only valid for %s, not %s", wire.OpJoin, hdr.Op)
+		return BadRequest("WantReport is only valid for %s, not %s", wire.OpJoin, hdr.Op)
 	}
 
 	switch req := body.(type) {
@@ -60,7 +51,7 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 	case *wire.CloseReq:
 		return s.handleClose(hdr, req, w)
 	case *wire.ListReq:
-		return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: s.catalog.List()})
+		return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.ListReply{Indexes: s.catalog.List()})
 	case *wire.StatsReq:
 		return s.handleStats(hdr, req, w)
 	case *wire.KNNReq:
@@ -82,7 +73,7 @@ func (s *Server) dispatch(ctx context.Context, rc *reqCtx, hdr wire.RequestHeade
 	case *wire.DeleteReq:
 		return s.withSlot(ctx, rc, func() error { return s.handleDelete(hdr, req, w) })
 	default:
-		return badRequest("unhandled request type %T", body)
+		return BadRequest("unhandled request type %T", body)
 	}
 }
 
@@ -95,6 +86,9 @@ func (s *Server) withSlot(ctx context.Context, rc *reqCtx, fn func() error) erro
 	err := s.admit.acquire(ctx)
 	rc.admissionWaitNs.Store(time.Since(waitStart).Nanoseconds())
 	if err != nil {
+		if wire.IsCode(err, wire.CodeServerBusy) {
+			s.rejected.Inc()
+		}
 		return err
 	}
 	rc.stage.Store(stageRunning)
@@ -108,7 +102,7 @@ func (s *Server) withSlot(ctx context.Context, rc *reqCtx, fn func() error) erro
 
 // --- catalog ops ------------------------------------------------------------
 
-func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWriter) error {
+func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *ResponseWriter) error {
 	ix, err := s.catalog.Open(req.Name, req.Path, ann.IndexConfig{
 		BufferPoolBytes: s.cfg.IndexBufferBytes,
 	})
@@ -119,10 +113,10 @@ func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWr
 		case errors.Is(err, fs.ErrNotExist):
 			return &wire.Error{Code: wire.CodeNotFound, Msg: err.Error()}
 		default:
-			return badRequest("%v", err)
+			return BadRequest("%v", err)
 		}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.OpenReply{Info: wire.IndexInfo{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.OpenReply{Info: wire.IndexInfo{
 		Name:   req.Name,
 		Kind:   uint8(ix.Kind()),
 		Points: uint64(ix.Len()),
@@ -130,21 +124,21 @@ func (s *Server) handleOpen(hdr wire.RequestHeader, req *wire.OpenReq, w *connWr
 	}})
 }
 
-func (s *Server) handleClose(hdr wire.RequestHeader, req *wire.CloseReq, w *connWriter) error {
+func (s *Server) handleClose(hdr wire.RequestHeader, req *wire.CloseReq, w *ResponseWriter) error {
 	if err := s.catalog.Close(req.Name); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.CloseReply{})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.CloseReply{})
 }
 
-func (s *Server) handleStats(hdr wire.RequestHeader, req *wire.StatsReq, w *connWriter) error {
+func (s *Server) handleStats(hdr wire.RequestHeader, req *wire.StatsReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Name)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	st := ix.Stats()
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.StatsReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.StatsReply{
 		Info: wire.IndexInfo{
 			Name:   req.Name,
 			Kind:   uint8(st.Kind),
@@ -183,7 +177,7 @@ func (s *Server) handleStats(hdr wire.RequestHeader, req *wire.StatsReq, w *conn
 // against each other (queries need no exclusion at all — they run on
 // the snapshot published by the last completed batch).
 
-func (s *Server) handleInsert(hdr wire.RequestHeader, req *wire.InsertReq, w *connWriter) error {
+func (s *Server) handleInsert(hdr wire.RequestHeader, req *wire.InsertReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
@@ -192,13 +186,13 @@ func (s *Server) handleInsert(hdr wire.RequestHeader, req *wire.InsertReq, w *co
 	if err := ix.InsertBatch(req.IDs, req.Points); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.InsertReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.InsertReply{
 		Inserted: uint64(len(req.IDs)),
 		Size:     uint64(ix.Len()),
 	})
 }
 
-func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *connWriter) error {
+func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
@@ -208,7 +202,7 @@ func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *co
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.DeleteReply{
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.DeleteReply{
 		Found: uint64(found),
 		Size:  uint64(ix.Len()),
 	})
@@ -216,17 +210,17 @@ func (s *Server) handleDelete(hdr wire.RequestHeader, req *wire.DeleteReq, w *co
 
 // --- point and box queries --------------------------------------------------
 
-func (s *Server) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *connWriter) error {
+func (s *Server) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.KNNReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return BadRequest("k must be at least 1, got %d", req.K)
 	}
 	if len(req.Point) != ix.Dim() {
-		return badRequest("query point has %d dims, index %q has %d", len(req.Point), req.Index, ix.Dim())
+		return BadRequest("query point has %d dims, index %q has %d", len(req.Point), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -235,21 +229,21 @@ func (s *Server) handleKNN(ctx context.Context, hdr wire.RequestHeader, req *wir
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{Neighbors: toWireNeighbors(nbs)})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.KNNReply{Neighbors: toWireNeighbors(nbs)})
 }
 
-func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *connWriter) error {
+func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req *wire.BatchKNNReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return BadRequest("k must be at least 1, got %d", req.K)
 	}
 	for i, p := range req.Points {
 		if len(p) != ix.Dim() {
-			return badRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
+			return BadRequest("query point %d has %d dims, index %q has %d", i, len(p), req.Index, ix.Dim())
 		}
 	}
 	results := make([]wire.Result, len(req.Points))
@@ -264,17 +258,17 @@ func (s *Server) handleBatchKNN(ctx context.Context, hdr wire.RequestHeader, req
 		}
 		results[i] = wire.Result{ID: uint64(i), Point: p, Neighbors: toWireNeighbors(nbs)}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{Results: results})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.BatchKNNReply{Results: results})
 }
 
-func (s *Server) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *connWriter) error {
+func (s *Server) handleRange(ctx context.Context, hdr wire.RequestHeader, req *wire.RangeReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return badRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
+		return BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -283,21 +277,21 @@ func (s *Server) handleRange(ctx context.Context, hdr wire.RequestHeader, req *w
 	if err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{IDs: ids})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangeReply{IDs: ids})
 }
 
 // handleRangePoints is the coordinate-bearing variant of handleRange,
 // serving the boundary-strip fetches a router's distributed
 // within-distance evaluation issues: the router needs the points
 // themselves to compute exact cross-shard distances.
-func (s *Server) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *connWriter) error {
+func (s *Server) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, req *wire.RangePointsReq, w *ResponseWriter) error {
 	e, ix, err := s.catalog.acquire(req.Index)
 	if err != nil {
 		return err
 	}
 	defer e.release()
 	if len(req.Lo) != ix.Dim() || len(req.Hi) != ix.Dim() {
-		return badRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
+		return BadRequest("box dims (%d, %d) do not match index %q dim %d", len(req.Lo), len(req.Hi), req.Index, ix.Dim())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -310,7 +304,7 @@ func (s *Server) handleRangePoints(ctx context.Context, hdr wire.RequestHeader, 
 	for i, p := range pts {
 		out[i] = p
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangePointsReply{IDs: ids, Points: out})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.RangePointsReply{IDs: ids, Points: out})
 }
 
 // --- join ops ---------------------------------------------------------------
@@ -352,9 +346,9 @@ func (s *Server) queryConfig(rc *reqCtx) ann.QueryConfig {
 	return cfg
 }
 
-func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, req *wire.JoinReq, w *connWriter) error {
+func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHeader, req *wire.JoinReq, w *ResponseWriter) error {
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return BadRequest("k must be at least 1, got %d", req.K)
 	}
 	sName := req.S
 	if req.Self {
@@ -366,7 +360,7 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
 	frame := wire.JoinFrame{Results: make([]wire.Result, 0, joinFrameResults)}
@@ -375,7 +369,7 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 		if len(frame.Results) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Results = frame.Results[:0]
 		return err
 	}
@@ -415,12 +409,12 @@ func (s *Server) handleJoin(ctx context.Context, rc *reqCtx, hdr wire.RequestHea
 	if hdr.WantReport {
 		end.Report = rc.wireReport()
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, end)
+	return w.Send(hdr.ID, wire.KindEnd, hdr.Op, end)
 }
 
-func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *connWriter) error {
+func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *wire.WithinReq, w *ResponseWriter) error {
 	if !(req.Dist >= 0) {
-		return badRequest("distance must be non-negative, got %v", req.Dist)
+		return BadRequest("distance must be non-negative, got %v", req.Dist)
 	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
@@ -428,7 +422,7 @@ func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 
 	frame := wire.PairFrame{Pairs: make([]wire.Pair, 0, pairFrameCount)}
@@ -437,7 +431,7 @@ func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 		if len(frame.Pairs) == 0 {
 			return nil
 		}
-		err := w.send(hdr.ID, wire.KindStream, hdr.Op, &frame)
+		err := w.Send(hdr.ID, wire.KindStream, hdr.Op, &frame)
 		frame.Pairs = frame.Pairs[:0]
 		return err
 	}
@@ -455,12 +449,12 @@ func (s *Server) handleWithin(ctx context.Context, hdr wire.RequestHeader, req *
 	if err := flush(); err != nil {
 		return err
 	}
-	return w.send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
+	return w.Send(hdr.ID, wire.KindEnd, hdr.Op, &wire.StreamEnd{Count: total})
 }
 
-func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *wire.PairsReq, w *connWriter) error {
+func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *wire.PairsReq, w *ResponseWriter) error {
 	if req.K < 1 {
-		return badRequest("k must be at least 1, got %d", req.K)
+		return BadRequest("k must be at least 1, got %d", req.K)
 	}
 	rix, six, release, err := s.acquirePair(req.R, req.S)
 	if err != nil {
@@ -468,7 +462,7 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 	}
 	defer release()
 	if rix.Dim() != six.Dim() {
-		return badRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
+		return BadRequest("indexes %q (dim %d) and %q (dim %d) do not join", req.R, rix.Dim(), req.S, six.Dim())
 	}
 	pairs, err := ann.ClosestPairsContext(ctx, rix, six, int(req.K), req.ExcludeSelf)
 	if err != nil {
@@ -478,7 +472,7 @@ func (s *Server) handlePairs(ctx context.Context, hdr wire.RequestHeader, req *w
 	for i, p := range pairs {
 		out[i] = wire.Pair{R: p.R, S: p.S, Dist: p.Dist}
 	}
-	return w.send(hdr.ID, wire.KindResult, hdr.Op, &wire.PairsReply{Pairs: out})
+	return w.Send(hdr.ID, wire.KindResult, hdr.Op, &wire.PairsReply{Pairs: out})
 }
 
 // toWireNeighbors converts library neighbors to their wire form.

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// LogLevel orders the server's log severities. Config.LogLevel is the
+// LogLevel orders the shell's log severities. Config.LogLevel is the
 // minimum level emitted; LevelInfo is the default.
 type LogLevel int
 
@@ -41,7 +41,7 @@ func (l LogLevel) String() string {
 // stays machine-splittable on spaces. Request-scoped call sites always
 // pass the request and trace IDs — the contract that makes a slow-query
 // entry, an access-log record and a log line about one request joinable.
-func (s *Server) log(level LogLevel, msg string, kv ...any) {
+func (s *Shell) log(level LogLevel, msg string, kv ...any) {
 	if s.cfg.Logf == nil || level < s.cfg.LogLevel {
 		return
 	}

@@ -629,3 +629,72 @@ func TestDebugEndpointsUnderLoad(t *testing.T) {
 	_ = cl // the startServer client stays idle in this test
 	srv.Catalog().RequireNoPinnedFrames(t)
 }
+
+// TestDebugRequestsStageOfUnqueuedOp pins the stage a request that
+// never queues for admission shows while it executes: the shell marks
+// every request running when it hands it to the handler, so a catalog
+// op held inside its handler is listed as running, not decode.
+func TestDebugRequestsStageOfUnqueuedOp(t *testing.T) {
+	// The hook must be in place before the listener starts: connection
+	// goroutines read it without synchronisation.
+	srv := New(Config{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.testHook = func(hdr wire.RequestHeader) {
+		if hdr.Op == wire.OpStats {
+			close(entered)
+			<-release
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+		if err := <-serveDone; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+		srv.Catalog().CloseAll()
+	})
+	if err := srv.Catalog().Add("pts", buildIndex(t, randomPoints(207, 50, 2), ann.MBRQT)); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	statsDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Stats(context.Background(), "pts")
+		statsDone <- err
+	}()
+	<-entered
+
+	web := httptest.NewServer(obs.Mux(obs.NewRegistry(), srv.DebugRoutes()...))
+	defer web.Close()
+	resp, err := http.Get(web.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live struct {
+		Requests []InFlightRequest `json:"requests"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&live)
+	resp.Body.Close()
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Requests) != 1 || live.Requests[0].Op != "stats" || live.Requests[0].Stage != "running" {
+		t.Errorf("/debug/requests while a stats request executes = %+v, want one stats entry at stage running", live.Requests)
+	}
+	if err := <-statsDone; err != nil {
+		t.Fatalf("held stats request: %v", err)
+	}
+}

@@ -41,7 +41,7 @@ func stageName(st int32) string {
 // the connection goroutine and only read after the request leaves the
 // table (finish).
 type reqCtx struct {
-	seq     uint64 // server-wide sequence, the in-flight table key
+	seq     uint64 // shell-wide sequence, the in-flight table key
 	id      uint64 // wire request id (client-chosen, per connection)
 	op      wire.Op
 	index   string // index label ("r" or "r+s" for joins), may be empty
@@ -262,21 +262,21 @@ type InFlightRequest struct {
 
 // trackRequest inserts rc into the in-flight table under a fresh
 // sequence number.
-func (s *Server) trackRequest(rc *reqCtx) {
+func (s *Shell) trackRequest(rc *reqCtx) {
 	rc.seq = s.reqSeq.Add(1)
 	s.inflightMu.Lock()
 	s.inflight[rc.seq] = rc
 	s.inflightMu.Unlock()
 }
 
-func (s *Server) untrackRequest(rc *reqCtx) {
+func (s *Shell) untrackRequest(rc *reqCtx) {
 	s.inflightMu.Lock()
 	delete(s.inflight, rc.seq)
 	s.inflightMu.Unlock()
 }
 
 // inFlightSnapshot lists the live requests, oldest first.
-func (s *Server) inFlightSnapshot() []InFlightRequest {
+func (s *Shell) inFlightSnapshot() []InFlightRequest {
 	now := time.Now()
 	s.inflightMu.Lock()
 	out := make([]InFlightRequest, 0, len(s.inflight))
@@ -298,17 +298,17 @@ func (s *Server) inFlightSnapshot() []InFlightRequest {
 	return out
 }
 
-// DebugRoutes returns the server's live-inspection endpoints for the
+// DebugRoutes returns the shell's live-inspection endpoints for the
 // obs debug mux: /debug/slow (the slow-query ring) and /debug/requests
 // (the in-flight table).
-func (s *Server) DebugRoutes() []obs.Route {
+func (s *Shell) DebugRoutes() []obs.Route {
 	return []obs.Route{
 		{Pattern: "/debug/slow", Handler: http.HandlerFunc(s.serveSlow)},
 		{Pattern: "/debug/requests", Handler: http.HandlerFunc(s.serveRequests)},
 	}
 }
 
-func (s *Server) serveSlow(w http.ResponseWriter, _ *http.Request) {
+func (s *Shell) serveSlow(w http.ResponseWriter, _ *http.Request) {
 	entries, total := s.slow.snapshot()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
@@ -321,7 +321,7 @@ func (s *Server) serveSlow(w http.ResponseWriter, _ *http.Request) {
 	}{s.cfg.SlowThreshold.Nanoseconds(), cap(s.slow.entries), total, entries})
 }
 
-func (s *Server) serveRequests(w http.ResponseWriter, _ *http.Request) {
+func (s *Shell) serveRequests(w http.ResponseWriter, _ *http.Request) {
 	reqs := s.inFlightSnapshot()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
