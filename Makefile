@@ -119,15 +119,15 @@ race-sched:
 bench-nodecache:
 	$(GO) run ./cmd/annbench -exp nodecache -json BENCH_nodecache.json
 
-# bench-approx collects the approximate-mode sweep (ε ladder, recall
-# targets, the oracle-seeded ceiling row) at the paper scale, scoring
-# every run against the brute-force oracle.
+# bench-approx collects the approximate-mode sweep (ε ladder and the
+# oracle-seeded ceiling row) at the paper scale, scoring every run
+# against the brute-force oracle.
 bench-approx:
 	$(GO) run ./cmd/annbench -exp approx -scale 0.05 -json BENCH_approx.json -min-recall 0.99
 
 # bench-approx-smoke is the CI recall gate: a small approximate sweep
 # that fails unless the ε=0 control is byte-identical to exact, every
-# pure-ε run honors its (1+ε) distance contract, and at least one
+# ε run honors its (1+ε) distance contract, and at least one
 # approximate setting reaches measured recall >= 0.99.
 bench-approx-smoke:
 	$(GO) run ./cmd/annbench -exp approx -scale 0.01 -min-recall 0.99 -quiet

@@ -4,13 +4,14 @@
 // "Efficient Evaluation of All-Nearest-Neighbor Queries" (ICDE 2007).
 //
 // The typical flow is: build an Index over each dataset, then run
-// AllNearestNeighbors (or AllKNearestNeighbors) across the two indexes.
-// For self-joins ("for every point, its nearest other point"), build one
+// AllNearestNeighborsContext (or AllKNearestNeighborsContext) across the
+// two indexes. Every query takes a context for cancellation. For
+// self-joins ("for every point, its nearest other point"), build one
 // index and use the Self variants.
 //
 //	r, _ := ann.BuildIndex(queryPoints, ann.IndexConfig{})
 //	s, _ := ann.BuildIndex(targetPoints, ann.IndexConfig{})
-//	results, _ := ann.AllNearestNeighbors(r, s, ann.QueryConfig{})
+//	results, _ := ann.AllNearestNeighborsContext(context.Background(), r, s, ann.QueryConfig{})
 //
 // Indexes default to the paper's MBRQT (an MBR-enhanced bucket PR
 // quadtree); an R*-tree backend is available through IndexConfig.Kind.
@@ -128,9 +129,9 @@ var (
 )
 
 // ErrInvalidConfig is wrapped by every query-configuration validation
-// failure (negative Epsilon, RecallTarget outside (0,1], approximation
-// knobs passed to exact-only operations), so callers — and the serving
-// layer — can classify bad requests with errors.Is.
+// failure (negative or non-finite Epsilon, Epsilon passed to exact-only
+// operations), so callers — and the serving layer — can classify bad
+// requests with errors.Is.
 var ErrInvalidConfig = core.ErrInvalidOptions
 
 // QueryConfig configures the ANN/AkNN execution.
@@ -182,15 +183,6 @@ type QueryConfig struct {
 	// rejected with ErrInvalidConfig. See DESIGN.md §14 for where the
 	// factor enters the pruning bounds.
 	Epsilon float64
-	// RecallTarget, in (0,1), makes each leaf-level join serve the
-	// RecallTarget fraction of its query points with the tightest bounds
-	// exactly and let the rest ride along approximately (still receiving
-	// full k results), trading the widest points' tail work for bounded
-	// recall: measured recall ≥ RecallTarget per leaf when Epsilon is 0.
-	// 0 (the default) and 1 disable the selector. Values outside (0,1]
-	// are rejected with ErrInvalidConfig. Composes with Epsilon; the
-	// bench's approx experiment measures the combinations.
-	RecallTarget float64
 }
 
 // observed reports whether any observability output is requested.
@@ -411,28 +403,18 @@ func (ix *Index) RangeSearchWithPoints(lo, hi Point) ([]ObjectID, []Point, error
 	return ids, pts, nil
 }
 
-// AllNearestNeighbors computes, for every point of r, its nearest
-// neighbor in s.
-func AllNearestNeighbors(r, s *Index, cfg QueryConfig) ([]Result, error) {
-	return AllKNearestNeighbors(r, s, 1, cfg)
-}
-
-// AllNearestNeighborsContext is AllNearestNeighbors with cancellation:
-// when ctx is cancelled or its deadline passes, the query — serial or
-// parallel — stops promptly, releases its storage resources, and returns
-// ctx.Err() alongside the results produced so far.
+// AllNearestNeighborsContext computes, for every point of r, its nearest
+// neighbor in s. When ctx is cancelled or its deadline passes, the query
+// — serial or parallel — stops promptly, releases its storage resources,
+// and returns ctx.Err() alongside the results produced so far; pass
+// context.Background() for a query that cannot be cancelled.
 func AllNearestNeighborsContext(ctx context.Context, r, s *Index, cfg QueryConfig) ([]Result, error) {
 	return AllKNearestNeighborsContext(ctx, r, s, 1, cfg)
 }
 
-// AllKNearestNeighbors computes, for every point of r, its k nearest
-// neighbors in s.
-func AllKNearestNeighbors(r, s *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return AllKNearestNeighborsContext(context.Background(), r, s, k, cfg)
-}
-
-// AllKNearestNeighborsContext is AllKNearestNeighbors with cancellation
-// (see AllNearestNeighborsContext).
+// AllKNearestNeighborsContext computes, for every point of r, its k
+// nearest neighbors in s, with cancellation as in
+// AllNearestNeighborsContext.
 func AllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig) ([]Result, error) {
 	var out []Result
 	err := StreamAllKNearestNeighborsContext(ctx, r, s, k, cfg, func(res Result) error {
@@ -442,27 +424,18 @@ func AllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg Qu
 	return out, err
 }
 
-// SelfAllNearestNeighbors computes, for every point of ix, its nearest
-// *other* point in the same dataset (the self pairing is excluded) — the
-// form used by single-linkage clustering and most scientific workloads.
-func SelfAllNearestNeighbors(ix *Index, cfg QueryConfig) ([]Result, error) {
-	return SelfAllKNearestNeighbors(ix, 1, cfg)
-}
-
-// SelfAllNearestNeighborsContext is SelfAllNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext).
+// SelfAllNearestNeighborsContext computes, for every point of ix, its
+// nearest *other* point in the same dataset (the self pairing is
+// excluded) — the form used by single-linkage clustering and most
+// scientific workloads — with cancellation as in
+// AllNearestNeighborsContext.
 func SelfAllNearestNeighborsContext(ctx context.Context, ix *Index, cfg QueryConfig) ([]Result, error) {
 	return SelfAllKNearestNeighborsContext(ctx, ix, 1, cfg)
 }
 
-// SelfAllKNearestNeighbors computes, for every point of ix, its k nearest
-// other points in the same dataset.
-func SelfAllKNearestNeighbors(ix *Index, k int, cfg QueryConfig) ([]Result, error) {
-	return SelfAllKNearestNeighborsContext(context.Background(), ix, k, cfg)
-}
-
-// SelfAllKNearestNeighborsContext is SelfAllKNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext).
+// SelfAllKNearestNeighborsContext computes, for every point of ix, its k
+// nearest other points in the same dataset, with cancellation as in
+// AllNearestNeighborsContext.
 func SelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig) ([]Result, error) {
 	var out []Result
 	err := run(ctx, ix, ix, k, cfg, true, func(res Result) error {
@@ -472,23 +445,17 @@ func SelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg 
 	return out, err
 }
 
-// StreamAllKNearestNeighbors is AllKNearestNeighbors with a streaming
-// callback instead of a materialised slice; emit is called once per query
-// point, in index traversal order.
-func StreamAllKNearestNeighbors(r, s *Index, k int, cfg QueryConfig, emit func(Result) error) error {
-	return run(context.Background(), r, s, k, cfg, false, emit)
-}
-
-// StreamAllKNearestNeighborsContext is StreamAllKNearestNeighbors with
-// cancellation (see AllNearestNeighborsContext); emit is not called again
-// after the cancellation is observed.
+// StreamAllKNearestNeighborsContext is AllKNearestNeighborsContext with a
+// streaming callback instead of a materialised slice; emit is called once
+// per query point, in index traversal order, and not again after a
+// cancellation is observed.
 func StreamAllKNearestNeighborsContext(ctx context.Context, r, s *Index, k int, cfg QueryConfig, emit func(Result) error) error {
 	return run(ctx, r, s, k, cfg, false, emit)
 }
 
-// StreamSelfAllKNearestNeighborsContext is SelfAllKNearestNeighbors with
-// a streaming callback and cancellation — the form the serving layer
-// uses so self-join results flow to the client without materialising
+// StreamSelfAllKNearestNeighborsContext is SelfAllKNearestNeighborsContext
+// with a streaming callback — the form the serving layer uses so
+// self-join results flow to the client without materialising
 // server-side.
 func StreamSelfAllKNearestNeighborsContext(ctx context.Context, ix *Index, k int, cfg QueryConfig, emit func(Result) error) error {
 	return run(ctx, ix, ix, k, cfg, true, emit)
@@ -509,7 +476,6 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 		OrderedEmit:    !cfg.UnorderedEmit,
 		NodeCacheBytes: cfg.NodeCacheBytes,
 		Epsilon:        cfg.Epsilon,
-		RecallTarget:   cfg.RecallTarget,
 	}
 	if cfg.Metric == MaxMaxDist {
 		opts.Metric = core.MaxMaxDist
@@ -559,17 +525,12 @@ func run(ctx context.Context, r, s *Index, k int, cfg QueryConfig, excludeSelf b
 	return err
 }
 
-// WithinDistance reports every pair of points (one from r, one from s)
-// whose Euclidean distance is at most d — the distance join operation.
-// For self-joins pass the same index twice and set excludeSelf.
-func WithinDistance(r, s *Index, d float64, excludeSelf bool, emit func(rID, sID ObjectID, dist float64) error) error {
-	return WithinDistanceContext(context.Background(), r, s, d, excludeSelf, emit)
-}
-
-// WithinDistanceContext is WithinDistance with cancellation: when ctx is
-// cancelled or its deadline passes the join stops promptly and returns
-// ctx.Err(); emit is not called again after the cancellation is
-// observed.
+// WithinDistanceContext reports every pair of points (one from r, one
+// from s) whose Euclidean distance is at most d — the distance join
+// operation. For self-joins pass the same index twice and set
+// excludeSelf. When ctx is cancelled or its deadline passes the join
+// stops promptly and returns ctx.Err(); emit is not called again after
+// the cancellation is observed.
 func WithinDistanceContext(ctx context.Context, r, s *Index, d float64, excludeSelf bool, emit func(rID, sID ObjectID, dist float64) error) error {
 	rv, rTree := r.acquire()
 	defer r.release(rv)
@@ -585,23 +546,18 @@ func WithinDistanceContext(ctx context.Context, r, s *Index, d float64, excludeS
 	return err
 }
 
-// Pair is one result of ClosestPairs.
+// Pair is one result of ClosestPairsContext.
 type Pair struct {
 	R, S ObjectID
 	Dist float64
 }
 
-// ClosestPairs returns the k closest (r, s) pairs across the two indexes,
-// ascending by distance. For self-joins pass the same index twice and set
-// excludeSelf (each unordered pair then appears in both directions).
-func ClosestPairs(r, s *Index, k int, excludeSelf bool) ([]Pair, error) {
-	return ClosestPairsContext(context.Background(), r, s, k, excludeSelf)
-}
-
-// ClosestPairsContext is ClosestPairs with cancellation: when ctx is
-// cancelled or its deadline passes the traversal stops promptly and
-// returns ctx.Err() with no pairs (a partial top-k would be
-// misleading).
+// ClosestPairsContext returns the k closest (r, s) pairs across the two
+// indexes, ascending by distance. For self-joins pass the same index
+// twice and set excludeSelf (each unordered pair then appears in both
+// directions). When ctx is cancelled or its deadline passes the
+// traversal stops promptly and returns ctx.Err() with no pairs (a
+// partial top-k would be misleading).
 func ClosestPairsContext(ctx context.Context, r, s *Index, k int, excludeSelf bool) ([]Pair, error) {
 	rv, rTree := r.acquire()
 	defer r.release(rv)

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -123,7 +124,7 @@ func buildReference(t *testing.T, kind IndexKind, base []Point, steps []mutation
 func requireSameJoin(t *testing.T, label string, got, want *Index) {
 	t.Helper()
 	join := func(ix *Index) []Result {
-		res, err := SelfAllKNearestNeighbors(ix, 2, QueryConfig{Parallelism: 1})
+		res, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: self-join: %v", label, err)
 		}
@@ -370,7 +371,7 @@ func chaosRun(t *testing.T, kind IndexKind, label string, wrapStoreF func(storag
 		if failedStep >= 0 {
 			// The writer is broken but queries must still serve the last
 			// published snapshot, and release it cleanly.
-			if _, err := SelfAllNearestNeighbors(ix, QueryConfig{}); err != nil {
+			if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
 				t.Fatalf("%s: query after write failure: %v", label, err)
 			}
 			ix.RequireNoPinnedFrames(t)
@@ -501,7 +502,7 @@ func TestWriteFailedClassification(t *testing.T) {
 	if ix.Len() != len(base) {
 		t.Fatalf("failed batch changed Len to %d", ix.Len())
 	}
-	if _, err := SelfAllNearestNeighbors(ix, QueryConfig{}); err != nil {
+	if _, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{}); err != nil {
 		t.Fatalf("query after write failure: %v", err)
 	}
 	ix.RequireNoPinnedFrames(t)
@@ -582,7 +583,7 @@ func TestConcurrentWritesAndQueries(t *testing.T) {
 					}
 					switch r {
 					case 0:
-						res, err := SelfAllNearestNeighbors(ix, QueryConfig{Parallelism: 2})
+						res, err := SelfAllNearestNeighborsContext(context.Background(), ix, QueryConfig{Parallelism: 2})
 						if err != nil {
 							report(fmt.Errorf("reader join: %w", err))
 							return

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -28,7 +29,7 @@ func TestQueryObservability(t *testing.T) {
 		OnReport: func(rep QueryReport) { reports = append(reports, rep) },
 	}
 
-	results, err := SelfAllKNearestNeighbors(ix, 1, cfg)
+	results, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestQueryObservability(t *testing.T) {
 
 	// A second run accumulates into the same registry.
 	cfg2 := QueryConfig{Metrics: metrics}
-	if _, err := SelfAllKNearestNeighbors(ix, 1, cfg2); err != nil {
+	if _, err := SelfAllKNearestNeighborsContext(context.Background(), ix, 1, cfg2); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -120,7 +121,7 @@ func TestQueryReportPoolMatchesIndexStats(t *testing.T) {
 			var rep QueryReport
 			before := ix.Stats()
 			// With the node cache off every expansion goes through the pool.
-			_, err = SelfAllKNearestNeighbors(ix, 2, QueryConfig{
+			_, err = SelfAllKNearestNeighborsContext(context.Background(), ix, 2, QueryConfig{
 				NodeCacheBytes: -1,
 				OnReport:       func(r QueryReport) { rep = r },
 			})

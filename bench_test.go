@@ -243,11 +243,6 @@ func BenchmarkFig6GORDER_FC_k10(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------------
 
-func BenchmarkAblateTraversalBreadthFirst(b *testing.B) {
-	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
-	runEngine(b, tree, core.Options{Traversal: core.BreadthFirst, ExcludeSelf: true})
-}
-
 func BenchmarkAblateVolatileBounds(b *testing.B) {
 	tree, _ := buildSelf(b, bench.KindMBRQT, fig3aPoints())
 	runEngine(b, tree, core.Options{VolatileBounds: true, ExcludeSelf: true})

@@ -12,7 +12,6 @@ import (
 // RunAblations measures the design choices DESIGN.md calls out, all on
 // the TAC workload (self-join, 512 KB pool):
 //
-//   - traversal order: depth-first (the paper's ANN-DFBI) vs breadth-first;
 //   - the default engine vs the paper-literal variants (volatile LPQ
 //     bounds, per-object gather);
 //   - AkNN bound strategy: the paper's max-of-members vs the tighter
@@ -42,11 +41,6 @@ func RunAblations(cfg Config) error {
 
 	base := core.Options{ExcludeSelf: true}
 	if err := add(runMBA("MBA (default engine)", cfg, qt, base)); err != nil {
-		return err
-	}
-	bfs := base
-	bfs.Traversal = core.BreadthFirst
-	if err := add(runMBA("MBA breadth-first", cfg, qt, bfs)); err != nil {
 		return err
 	}
 	vol := base

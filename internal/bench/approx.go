@@ -25,38 +25,28 @@ import (
 // brute-force oracle stays affordable.
 const approxK = 10
 
-// approxSweep is the ε / recall-target grid the experiment measures.
-// ε = 0 is the exactness control (hash-checked against the baseline);
-// the ε ladder spans "indistinguishable" to "paper-figure coarse", and
-// the recall-target rows exercise the leaf selector alone and combined.
+// approxSweep is the ε grid the experiment measures. ε = 0 is the
+// exactness control (hash-checked against the baseline); the ladder spans
+// "indistinguishable" to "paper-figure coarse".
 var approxSweep = []struct {
 	label string
 	eps   float64
-	rt    float64
 }{
-	{"exact (eps=0)", 0, 0},
-	{"eps=0.02", 0.02, 0},
-	{"eps=0.05", 0.05, 0},
-	{"eps=0.1", 0.1, 0},
-	{"eps=0.2", 0.2, 0},
-	{"eps=0.5", 0.5, 0},
-	{"eps=1.0", 1.0, 0},
-	// Recall-target rows: note the per-leaf granularity — with 16-object
-	// leaf buckets, ceil(rt x owners) only drops below the owner count at
-	// rt <= 15/16, so targets above ~0.94 behave exactly.
-	{"rt=0.9", 0, 0.9},
-	{"rt=0.75", 0, 0.75},
-	{"rt=0.5", 0, 0.5},
-	{"eps=0.02 rt=0.9", 0.02, 0.9},
-	{"eps=0.1 rt=0.75", 0.1, 0.75},
+	{"exact (eps=0)", 0},
+	{"eps=0.02", 0.02},
+	{"eps=0.05", 0.05},
+	{"eps=0.1", 0.1},
+	{"eps=0.2", 0.2},
+	{"eps=0.5", 0.5},
+	{"eps=1.0", 1.0},
 }
 
 // RunApprox measures the approximate query mode: a self-AkNN join over
-// the TAC surrogate, exact first, then across the ε / recall-target
-// sweep, all serial (Parallelism 1) so speedups are per-core algorithmic
-// savings rather than scheduling artifacts. The runs execute in the
-// paper's cost model — the standard small buffer pool with the decoded-
-// node cache disabled (as in the figure experiments), total time derived
+// the FC surrogate, exact first, then across the ε sweep, all serial
+// (Parallelism 1) so speedups are per-core algorithmic savings rather
+// than scheduling artifacts. The runs execute in the paper's cost
+// model — the standard small buffer pool with the decoded-node cache
+// disabled (as in the figure experiments), total time derived
 // as CPU + pageTransfers x PageLatency — so the subtree descents that
 // ε-inflated pruning avoids are charged at their modeled I/O cost, not
 // just their in-memory CPU cost. Every run's result stream is scored
@@ -107,7 +97,7 @@ func RunApprox(cfg Config) error {
 
 	type row struct {
 		label     string
-		eps, rt   float64
+		eps       float64
 		wall      time.Duration
 		io        uint64
 		total     time.Duration
@@ -123,11 +113,12 @@ func RunApprox(cfg Config) error {
 	// run upper-bounds every bound-based approximation — it is what a
 	// two-pass pilot/verify scheme would cost with a perfect, free pilot —
 	// so the gap between it and the exact row is the total speedup
-	// headroom that ε-inflation or any recall-target selector can ever
-	// reach at recall 1. On this engine the gap is small (~1.1-1.2x): the
-	// shared leaf prefilter admits candidates by leaf-MBR mindist, which
-	// tighter per-owner bounds barely affect, so the distance-calc count
-	// is fixed by leaf-stream geometry rather than by bound quality.
+	// headroom that ε-inflation or any other bound-based approximation
+	// can ever reach at recall 1. On this engine the gap is small
+	// (~1.1-1.2x): the shared leaf prefilter admits candidates by
+	// leaf-MBR mindist, which tighter per-owner bounds barely affect, so
+	// the distance-calc count is fixed by leaf-stream geometry rather than
+	// by bound quality.
 	seed := make([]float64, len(pts))
 	for i := range oracle {
 		d := oracle[i].Neighbors[len(oracle[i].Neighbors)-1].Dist
@@ -142,17 +133,16 @@ func RunApprox(cfg Config) error {
 	{
 		recall, maxRatio := scoreAgainstOracle(seedRes.results, oracle)
 		total := seedRes.wall + time.Duration(seedRes.io)*cfg.PageLatency
-		rows = append(rows, row{"oracle-seeded", 0, 0, seedRes.wall, seedRes.io, total,
+		rows = append(rows, row{"oracle-seeded", 0, seedRes.wall, seedRes.io, total,
 			seedRes.stats, seedRes.sched, recall, maxRatio, seedRes.hash == exactRes.hash})
 	}
 	for _, sw := range approxSweep {
 		// The exact control row is the baseline measurement itself, so its
 		// reported speedup is exactly 1 rather than timing noise.
 		res := exactRes
-		if sw.eps != 0 || sw.rt != 0 {
+		if sw.eps != 0 {
 			opts := base
 			opts.Epsilon = sw.eps
-			opts.RecallTarget = sw.rt
 			var err error
 			res, err = bestOfCollect(ir, is, pool, opts)
 			if err != nil {
@@ -162,7 +152,7 @@ func RunApprox(cfg Config) error {
 		recall, maxRatio := scoreAgainstOracle(res.results, oracle)
 		total := res.wall + time.Duration(res.io)*cfg.PageLatency
 		heartbeat(cfg, "approx: "+sw.label, total, res.stats.Results)
-		rows = append(rows, row{sw.label, sw.eps, sw.rt, res.wall, res.io, total,
+		rows = append(rows, row{sw.label, sw.eps, res.wall, res.io, total,
 			res.stats, res.sched, recall, maxRatio, res.hash == exactRes.hash})
 	}
 
@@ -178,7 +168,7 @@ func RunApprox(cfg Config) error {
 	// ε = 0 control is byte-identical to the baseline with perfect recall,
 	// and no run breaks its own (1+ε) distance contract.
 	for _, r := range rows {
-		if r.eps == 0 && r.rt == 0 {
+		if r.eps == 0 {
 			if !r.identical {
 				return fmt.Errorf("approx: eps=0 run is not byte-identical to the exact baseline")
 			}
@@ -189,14 +179,9 @@ func RunApprox(cfg Config) error {
 				return fmt.Errorf("approx: eps=0 run recorded %d approx early terminations", r.stats.LPQEarlyTerms)
 			}
 		}
-		// The (1+ε) distance contract only binds pure-ε runs: the
-		// recall-target selector trades unbounded distance error on its
-		// straggler fraction for the recall floor instead.
-		if r.rt == 0 {
-			if limit := (1 + r.eps) * (1 + 1e-9); r.maxRatio > limit {
-				return fmt.Errorf("approx: %s returned a distance %.6fx the true one, breaking the (1+ε) contract",
-					r.label, r.maxRatio)
-			}
+		if limit := (1 + r.eps) * (1 + 1e-9); r.maxRatio > limit {
+			return fmt.Errorf("approx: %s returned a distance %.6fx the true one, breaking the (1+ε) contract",
+				r.label, r.maxRatio)
 		}
 	}
 
@@ -204,7 +189,6 @@ func RunApprox(cfg Config) error {
 		type runJSON struct {
 			Label           string          `json:"label"`
 			Epsilon         float64         `json:"epsilon"`
-			RecallTarget    float64         `json:"recall_target"`
 			CPUNS           int64           `json:"cpu_ns"`
 			IOPages         uint64          `json:"io_pages"`
 			TotalNS         int64           `json:"total_ns"`
@@ -242,7 +226,6 @@ func RunApprox(cfg Config) error {
 			doc.Runs = append(doc.Runs, runJSON{
 				Label:           r.label,
 				Epsilon:         r.eps,
-				RecallTarget:    r.rt,
 				CPUNS:           r.wall.Nanoseconds(),
 				IOPages:         r.io,
 				TotalNS:         r.total.Nanoseconds(),
@@ -269,7 +252,7 @@ func RunApprox(cfg Config) error {
 	if cfg.MinRecall > 0 {
 		bestSpeedup, bestLabel := 0.0, ""
 		for _, r := range rows {
-			if r.eps == 0 && r.rt == 0 {
+			if r.eps == 0 {
 				continue
 			}
 			if sp := float64(exactTotal) / float64(r.total); r.recall >= cfg.MinRecall && sp > bestSpeedup {

@@ -80,9 +80,9 @@ type Config struct {
 	// cannot run 4 workers cannot fail a 4-worker scaling bar.
 	MinSpeedup4 float64
 	// MinRecall, when positive, makes the approx experiment fail unless
-	// at least one ε > 0 (or recall-target) run reaches this measured
-	// recall against the brute-force oracle. CI smoke uses it as the
-	// approximation-quality regression gate.
+	// at least one ε > 0 run reaches this measured recall against the
+	// brute-force oracle. CI smoke uses it as the approximation-quality
+	// regression gate.
 	MinRecall float64
 }
 
@@ -161,7 +161,7 @@ func Experiments() []Experiment {
 		{"prune", "Section 4.3 support: node-level pruning power, NXNDIST vs MAXMAXDIST on both indexes", RunPruning},
 		{"ablate", "Ablations: traversal order, k-bound strategy, engine enhancements, index choice", RunAblations},
 		{"parallel", "Multi-core scaling: concurrent DFBI subtree workers vs the serial engine", RunParallel},
-		{"approx", "Approximate mode: ε / recall-target sweep vs exact and the brute-force oracle, with measured recall", RunApprox},
+		{"approx", "Approximate mode: ε sweep vs exact and the brute-force oracle, with measured recall", RunApprox},
 		{"nodecache", "Decoded-node cache: cache-off vs cold vs warm, MBA and RBA", RunNodeCache},
 		{"mba", "Observability deep-dive: one traced MBA self-join with the unified QueryReport (counters, stage timings; -trace writes Perfetto JSON)", RunMBAReport},
 		{"shard", "Distributed routing: Hilbert-sharded backends behind the scatter-gather router vs a single node, with shard-prune counters and byte-parity checks", RunShard},

@@ -61,8 +61,8 @@ func approxDatasets(rng *rand.Rand, n int) map[string][]geom.Point {
 }
 
 // TestApproxZeroEpsilonByteIdentical pins the ε=0 contract: explicitly
-// setting Epsilon to 0 (and RecallTarget to 0 or 1, both of which mean
-// "exact") must produce output byte-identical to the plain exact run —
+// setting Epsilon to 0 must produce output byte-identical to the plain
+// exact run —
 // including every engine counter — serially and at parallelism 4.
 func TestApproxZeroEpsilonByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1401))
@@ -77,7 +77,6 @@ func TestApproxZeroEpsilonByteIdentical(t *testing.T) {
 				opts  Options
 			}{
 				{"eps0", Options{K: 3, ExcludeSelf: true, Epsilon: 0}},
-				{"eps0/rt1", Options{K: 3, ExcludeSelf: true, Epsilon: 0, RecallTarget: 1}},
 				{"eps0/parallel4", Options{K: 3, ExcludeSelf: true, Epsilon: 0, Parallelism: 4, OrderedEmit: true}},
 			} {
 				gotHash, gotStats := hashRun(t, ix, ix, tc.opts)
@@ -136,54 +135,6 @@ func TestApproxContract(t *testing.T) {
 	}
 }
 
-// measuredRecall computes distance-based recall: a returned neighbor at
-// rank n counts as correct when its distance is no farther than the true
-// rank-n distance (up to float tolerance), which is tie-insensitive.
-func measuredRecall(got []Result, want []bruteforce.Result) float64 {
-	sort.Slice(got, func(a, b int) bool { return got[a].Object < got[b].Object })
-	hits, total := 0, 0
-	for i := range want {
-		for n := range want[i].Neighbors {
-			total++
-			if n < len(got[i].Neighbors) && got[i].Neighbors[n].Dist <= want[i].Neighbors[n].Dist*(1+1e-9) {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(hits) / float64(total)
-}
-
-// TestApproxRecallTarget checks the recall-targeted leaf selector: at
-// ε=0 with RecallTarget rt, measured recall must be at least rt (the
-// per-leaf floor implies the global one), and every object still
-// receives its full k neighbors.
-func TestApproxRecallTarget(t *testing.T) {
-	rng := rand.New(rand.NewSource(1403))
-	for name, pts := range approxDatasets(rng, 500) {
-		t.Run(name, func(t *testing.T) {
-			ix := buildMBRQT(t, pts)
-			want := bruteforce.AkNN(bruteforce.FromPoints(pts), bruteforce.FromPoints(pts), 2, true)
-			for _, rt := range []float64{0.5, 0.8, 0.95} {
-				got, _, err := Collect(ix, ix, Options{K: 2, ExcludeSelf: true, RecallTarget: rt})
-				if err != nil {
-					t.Fatalf("rt=%g: %v", rt, err)
-				}
-				for _, g := range got {
-					if len(g.Neighbors) != 2 {
-						t.Fatalf("rt=%g: object %d got %d neighbors, want 2", rt, g.Object, len(g.Neighbors))
-					}
-				}
-				if rec := measuredRecall(got, want); rec < rt {
-					t.Errorf("rt=%g: measured recall %.4f below target", rt, rec)
-				}
-			}
-		})
-	}
-}
-
 // TestApproxSerialParallelParity checks that approximate decisions are
 // deterministic functions of the bounds: an ε>0 ordered parallel run is
 // byte-identical to the ε>0 serial run, with identical engine Stats
@@ -193,22 +144,18 @@ func TestApproxSerialParallelParity(t *testing.T) {
 	for name, pts := range approxDatasets(rng, 600) {
 		t.Run(name, func(t *testing.T) {
 			ix := buildMBRQT(t, pts)
-			for _, opts := range []Options{
-				{K: 2, ExcludeSelf: true, Epsilon: 0.3},
-				{K: 2, ExcludeSelf: true, Epsilon: 0.1, RecallTarget: 0.9},
-			} {
-				serialHash, serialStats := hashRun(t, ix, ix, opts)
-				par := opts
-				par.Parallelism = 4
-				par.OrderedEmit = true
-				parHash, parStats := hashRun(t, ix, ix, par)
-				if parHash != serialHash {
-					t.Errorf("eps=%g rt=%g: parallel output differs from serial", opts.Epsilon, opts.RecallTarget)
-				}
-				if normCache(parStats) != normCache(serialStats) {
-					t.Errorf("eps=%g rt=%g: parallel stats differ:\n got %+v\nwant %+v",
-						opts.Epsilon, opts.RecallTarget, parStats, serialStats)
-				}
+			opts := Options{K: 2, ExcludeSelf: true, Epsilon: 0.3}
+			serialHash, serialStats := hashRun(t, ix, ix, opts)
+			par := opts
+			par.Parallelism = 4
+			par.OrderedEmit = true
+			parHash, parStats := hashRun(t, ix, ix, par)
+			if parHash != serialHash {
+				t.Errorf("eps=%g: parallel output differs from serial", opts.Epsilon)
+			}
+			if normCache(parStats) != normCache(serialStats) {
+				t.Errorf("eps=%g: parallel stats differ:\n got %+v\nwant %+v",
+					opts.Epsilon, parStats, serialStats)
 			}
 		})
 	}
@@ -290,10 +237,6 @@ func TestApproxValidation(t *testing.T) {
 		{Epsilon: -0.1},
 		{Epsilon: math.NaN()},
 		{Epsilon: math.Inf(1)},
-		{RecallTarget: -0.5},
-		{RecallTarget: 1.5},
-		{RecallTarget: math.NaN()},
-		{RecallTarget: 0.9, PerObjectGather: true},
 	}
 	for _, opts := range bad {
 		opts.K = 1
@@ -307,14 +250,8 @@ func TestApproxValidation(t *testing.T) {
 			t.Errorf("options %+v rejected with untyped error %v", opts, err)
 		}
 	}
-	// Valid edge values must be accepted.
-	for _, opts := range []Options{
-		{K: 1, ExcludeSelf: true, Epsilon: 0},
-		{K: 1, ExcludeSelf: true, RecallTarget: 1, PerObjectGather: true},
-		{K: 1, ExcludeSelf: true, RecallTarget: 0.5},
-	} {
-		if _, _, err := Collect(ix, ix, opts); err != nil {
-			t.Errorf("options %+v rejected: %v", opts, err)
-		}
+	// The valid edge value must be accepted.
+	if _, _, err := Collect(ix, ix, Options{K: 1, ExcludeSelf: true, Epsilon: 0}); err != nil {
+		t.Errorf("Epsilon 0 rejected: %v", err)
 	}
 }

@@ -20,7 +20,6 @@ func (j *leafJoin) probeOne(cand *index.Entry) {
 	j.stats.DistanceCalcs++
 	if geom.MinDistPointRectSq(cp, j.leafMBR) > j.maxOwnerBound {
 		j.stats.PrunedOnProbe += uint64(len(j.owners))
-		j.sinceAdmit++
 		return
 	}
 	j.stats.DistanceCalcs += uint64(len(j.owners))
@@ -47,11 +46,6 @@ func (j *leafJoin) probeOne(cand *index.Entry) {
 			j.cands = append(j.cands, cand)
 		}
 		j.commit(i, s, ref)
-	}
-	if ref >= 0 {
-		j.sinceAdmit = 0
-	} else {
-		j.sinceAdmit++
 	}
 }
 

@@ -63,34 +63,26 @@ func goldenSeeds(t *testing.T, ix index.Tree, n int, opts Options) []float64 {
 var goldenWant = map[string]string{
 	"mbrqt/k1/exact":                      "e636bf9659c10431 dc=7441228 lpq=20185 enq=253129 probe=24563217 filter=193531 nr=185 ns=1548 sub=1460 ent=0 res=20000 et=0",
 	"mbrqt/k1/eps0.5":                     "c69ae640f07b92ad dc=6675560 lpq=20185 enq=194710 probe=23833644 filter=141098 nr=185 ns=1375 sub=694 ent=0 res=20000 et=49",
-	"mbrqt/k1/rt0.9":                      "e636bf9659c10431 dc=7406500 lpq=20185 enq=253124 probe=24556618 filter=193526 nr=185 ns=1547 sub=1461 ent=0 res=20000 et=1",
 	"mbrqt/k1/volatile":                   "e636bf9659c10431 dc=7441228 lpq=20185 enq=253129 probe=24563217 filter=193531 nr=185 ns=1548 sub=1460 ent=0 res=20000 et=0",
 	"mbrqt/k1/maxmax":                     "e636bf9659c10431 dc=7677407 lpq=20185 enq=263680 probe=25047793 filter=199653 nr=185 ns=1548 sub=1781 ent=0 res=20000 et=0",
 	"mbrqt/k1/perobject":                  "e636bf9659c10431 dc=20326937 lpq=20185 enq=228631 probe=20098306 filter=168686 nr=185 ns=1704 sub=1468 ent=15609 res=20000 et=0",
 	"mbrqt/k1/seeded":                     "e636bf9659c10431 dc=6021352 lpq=20185 enq=61183 probe=24755163 filter=1585 nr=185 ns=1548 sub=1460 ent=0 res=20000 et=0",
-	"mbrqt/k1/breadth":                    "6ec13b97f341e6bd dc=7441228 lpq=20185 enq=253129 probe=24563217 filter=193531 nr=185 ns=1548 sub=1460 ent=0 res=20000 et=0",
 	"mbrqt/k4/exact":                      "d52f8e76d5b05911 dc=8880392 lpq=20185 enq=535983 probe=24961868 filter=413180 nr=185 ns=1566 sub=1601 ent=0 res=20000 et=0",
 	"mbrqt/k4/eps0.5":                     "c02de6b8ab0b3c7e dc=7868358 lpq=20185 enq=414121 probe=24394416 filter=296719 nr=185 ns=1431 sub=1244 ent=0 res=20000 et=29",
-	"mbrqt/k4/rt0.9":                      "d52f8e76d5b05911 dc=8818025 lpq=20185 enq=535970 probe=24961881 filter=413167 nr=185 ns=1566 sub=1601 ent=0 res=20000 et=0",
 	"mbrqt/k4/volatile":                   "d52f8e76d5b05911 dc=8880392 lpq=20185 enq=535983 probe=24961868 filter=413180 nr=185 ns=1566 sub=1601 ent=0 res=20000 et=0",
 	"mbrqt/k4/maxmax":                     "d52f8e76d5b05911 dc=9335092 lpq=20185 enq=562320 probe=25785746 filter=431657 nr=185 ns=1602 sub=2393 ent=0 res=20000 et=0",
 	"mbrqt/k4/perobject":                  "d52f8e76d5b05911 dc=20761073 lpq=20185 enq=478262 probe=20282811 filter=354502 nr=185 ns=2013 sub=1609 ent=18421 res=20000 et=0",
 	"mbrqt/k4/seeded":                     "d52f8e76d5b05911 dc=7059323 lpq=20185 enq=126365 probe=25371486 filter=3562 nr=185 ns=1566 sub=1601 ent=0 res=20000 et=0",
-	"mbrqt/k4/breadth":                    "9c04b511284ef201 dc=8880392 lpq=20185 enq=535983 probe=24961868 filter=413180 nr=185 ns=1566 sub=1601 ent=0 res=20000 et=0",
 	"mbrqt-4k/k1/maxall":                  "77bd2332d38d5d0f dc=5620343 lpq=4037 enq=1218728 probe=6177994 filter=0 nr=37 ns=383 sub=94 ent=1203033 res=4000 et=0",
 	"mbrqt-4k/k1/maxall-volatile":         "77bd2332d38d5d0f dc=5657025 lpq=4037 enq=1243585 probe=8030091 filter=0 nr=37 ns=400 sub=169 ent=1208726 res=4000 et=0",
 	"mbrqt-4k/k4/maxall":                  "94566d359dee2f7b dc=6547945 lpq=4037 enq=1885436 probe=6768459 filter=0 nr=37 ns=431 sub=121 ent=1850711 res=4000 et=0",
 	"mbrqt-4k/k4/maxall-volatile":         "94566d359dee2f7b dc=6563989 lpq=4037 enq=1898161 probe=8031682 filter=0 nr=37 ns=437 sub=172 ent=1850711 res=4000 et=0",
 	"rstar/k1/exact":                      "fa48e69d931e738d dc=6835627 lpq=20111 enq=557985 probe=24065805 filter=515936 nr=111 ns=743 sub=1306 ent=0 res=20000 et=0",
 	"rstar/k1/eps0.5":                     "906981b8a52c42e8 dc=6487375 lpq=20111 enq=289645 probe=23898788 filter=247761 nr=111 ns=730 sub=1154 ent=0 res=20000 et=21",
-	"rstar/k1/rt0.9":                      "fa48e69d931e738d dc=6835627 lpq=20111 enq=557985 probe=24065805 filter=515936 nr=111 ns=743 sub=1306 ent=0 res=20000 et=0",
 	"rstar/k1/maxmax":                     "fa48e69d931e738d dc=6835627 lpq=20111 enq=561588 probe=24062202 filter=518613 nr=111 ns=743 sub=2232 ent=0 res=20000 et=0",
-	"rstar/k1/breadth":                    "fa48e69d931e738d dc=6835627 lpq=20111 enq=557985 probe=24065805 filter=515936 nr=111 ns=743 sub=1306 ent=0 res=20000 et=0",
 	"rstar/k4/exact":                      "3c05e48fb2a4d13d dc=8299799 lpq=20111 enq=879913 probe=25374773 filter=777194 nr=111 ns=792 sub=1927 ent=0 res=20000 et=0",
 	"rstar/k4/eps0.5":                     "d6337839926e943a dc=7672298 lpq=20111 enq=542129 probe=24948349 filter=439670 nr=111 ns=769 sub=1690 ent=0 res=20000 et=30",
-	"rstar/k4/rt0.9":                      "3c05e48fb2a4d13d dc=8299799 lpq=20111 enq=879913 probe=25374773 filter=777194 nr=111 ns=792 sub=1927 ent=0 res=20000 et=0",
 	"rstar/k4/maxmax":                     "3c05e48fb2a4d13d dc=8299799 lpq=20111 enq=880723 probe=25373963 filter=776679 nr=111 ns=792 sub=3252 ent=0 res=20000 et=0",
-	"rstar/k4/breadth":                    "3c05e48fb2a4d13d dc=8299799 lpq=20111 enq=879913 probe=25374773 filter=777194 nr=111 ns=792 sub=1927 ent=0 res=20000 et=0",
 	"mbrqt-snapped/k1/exact":              "be7ded0969f7da0c dc=7436764 lpq=20185 enq=254523 probe=24552629 filter=193617 nr=185 ns=1547 sub=1462 ent=1325 res=20000 et=0",
 	"mbrqt-snapped/k1/eps0.5":             "1ba794ba5ce51aa1 dc=6680610 lpq=20185 enq=194335 probe=23853824 filter=140374 nr=185 ns=1375 sub=694 ent=401 res=20000 et=47",
 	"mbrqt-snapped/k1/volatile":           "be7ded0969f7da0c dc=7436764 lpq=20185 enq=254523 probe=24552629 filter=193617 nr=185 ns=1547 sub=1462 ent=1325 res=20000 et=0",
@@ -113,10 +105,8 @@ var goldenWant = map[string]string{
 
 // TestGoldenSelfJoin pins the stream hash and traversal counters of a
 // seeded 20k-point self-join across the option matrix the shared leaf
-// join serves (exact, ε, recall target, both k-bound rules, volatile
-// bounds, both metrics, seeded bounds, the per-object-gather ablation,
-// breadth-first traversal),
-// on MBRQT and R*-tree indexes and a duplicate-heavy variant of the
+// join serves (exact, ε, both k-bound rules, volatile bounds, both
+// metrics, seeded bounds, the per-object-gather ablation), on MBRQT and R*-tree indexes and a duplicate-heavy variant of the
 // dataset, serially and at Parallelism 2 with ordered emission.
 func TestGoldenSelfJoin(t *testing.T) {
 	if testing.Short() {
@@ -129,14 +119,12 @@ func TestGoldenSelfJoin(t *testing.T) {
 	all := []mode{
 		{"exact", func(o *Options) {}},
 		{"eps0.5", func(o *Options) { o.Epsilon = 0.5 }},
-		{"rt0.9", func(o *Options) { o.RecallTarget = 0.9 }},
 		{"maxall", func(o *Options) { o.KBound = KBoundMaxAll }},
 		{"maxall-volatile", func(o *Options) { o.KBound = KBoundMaxAll; o.VolatileBounds = true }},
 		{"volatile", func(o *Options) { o.VolatileBounds = true }},
 		{"maxmax", func(o *Options) { o.Metric = MaxMaxDist }},
 		{"perobject", func(o *Options) { o.PerObjectGather = true }},
 		{"seeded", nil}, // BoundSeedSq from an exact run
-		{"breadth", func(o *Options) { o.Traversal = BreadthFirst }},
 	}
 	pick := func(names ...string) []mode {
 		var out []mode
@@ -163,11 +151,11 @@ func TestGoldenSelfJoin(t *testing.T) {
 		modes []mode
 	}{
 		{"mbrqt", 20000, 0, mbrqtDefault,
-			pick("exact", "eps0.5", "rt0.9", "volatile", "maxmax", "perobject", "seeded", "breadth")},
+			pick("exact", "eps0.5", "volatile", "maxmax", "perobject", "seeded")},
 		{"mbrqt-4k", 4000, 0, mbrqtDefault, pick("maxall", "maxall-volatile")},
 		{"rstar", 20000, 0, func(pts []geom.Point) (index.Tree, error) {
 			return rstar.BulkLoad(newPool(1<<14), pts, nil, rstar.Config{})
-		}, pick("exact", "eps0.5", "rt0.9", "maxmax", "breadth")},
+		}, pick("exact", "eps0.5", "maxmax")},
 		{"mbrqt-snapped", 20000, 0.05, mbrqtDefault, pick("exact", "eps0.5", "volatile", "seeded")},
 		{"mbrqt-snapped-4k", 4000, 0.05, mbrqtDefault, pick("maxall", "maxall-volatile")},
 	}
@@ -187,9 +175,6 @@ func TestGoldenSelfJoin(t *testing.T) {
 						opts.BoundSeedSq = goldenSeeds(t, ix, ds.n, opts)
 					}
 					for _, par := range []int{1, 2} {
-						if par > 1 && opts.Traversal == BreadthFirst {
-							continue // the level queue does not parallelise
-						}
 						o := opts
 						o.Parallelism = par
 						o.OrderedEmit = true

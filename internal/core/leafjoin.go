@@ -77,25 +77,8 @@ type leafJoin struct {
 	tieOwner []int32
 	tieDist  []float64
 
-	// dirty marks the stragglers of the recall-targeted selection: owners
-	// excluded from the shared prefilter/cut-off bound (see
-	// markStragglers). Always all-false in exact mode.
-	dirty    []bool
-	hasDirty bool
-	// patience is the recall-targeted stopping rule of the candidate
-	// drain: with patience > 0, the work-heap loop terminates once
-	// sinceAdmit consecutive committed candidates failed every owner's
-	// admission test (and every owner holds its full k). The candidate
-	// stream arrives best-first by MIND to the leaf, so admissions are
-	// front-loaded and a long admission drought means the expected
-	// marginal recall of the remaining stream has fallen below target.
-	// 0 disables the rule (exact mode).
-	patience   int
-	sinceAdmit int
-	// maxOwnerBound caches max(admit) over the non-straggler owners;
-	// maxOwnerIdx is its argmax, so a tightening of any other owner skips
-	// the O(owners) rescan. In exact mode no owner is a straggler, so this
-	// is simply max(admit).
+	// maxOwnerBound caches max(admit); maxOwnerIdx is its argmax, so a
+	// tightening of any other owner skips the O(owners) rescan.
 	maxOwnerBound float64
 	maxOwnerIdx   int
 	work          pq.Heap[*index.Entry]
@@ -137,12 +120,7 @@ func (j *leafJoin) reset(dim int, q *lpq, owners []index.Entry, seeds []float64,
 	j.bound = resized(j.bound, m)
 	j.worst = resized(j.worst, m)
 	j.admit = resized(j.admit, m)
-	j.dirty = resized(j.dirty, m)
 	clear(j.count)
-	clear(j.dirty)
-	j.hasDirty = false
-	j.patience = 0
-	j.sinceAdmit = 0
 	j.flat = j.flat[:0]
 	parent := q.bound()
 	for i := range owners {
@@ -296,86 +274,10 @@ func (j *leafJoin) finishCounts() {
 	}
 }
 
-// markStragglers is the recall-targeted leaf selection: with
-// 0 < rt < 1, the ceil(rt x m) owners with the tightest admission bounds
-// are served exactly, and the remaining owners — the stragglers, whose
-// wide bounds would otherwise force every far candidate through the
-// kernel for the whole leaf — are excluded from the shared prefilter and
-// cut-off bound. A straggler still admits every candidate that survives
-// the clean owners' prefilter (its per-owner bound in the kernel is
-// untouched), so it degrades gracefully instead of starving; and only
-// owners already holding their full k candidates are eligible, so every
-// owner still emits k results. Per leaf, at least ceil(rt x m) owners
-// receive results identical to the exact drain, which is the per-leaf
-// recall floor rt.
-//
-// Called at the start of the heap-drain phase, not at reset: the
-// selection needs live bounds, and most owners only reach k admitted
-// candidates once the leaf's inherited candidate list has been
-// distributed.
-func (j *leafJoin) markStragglers(rt float64) {
-	if rt <= 0 || rt >= 1 {
-		return
-	}
-	m := len(j.owners)
-	want := m - int(math.Ceil(rt*float64(m)))
-	for ; want > 0; want-- {
-		worst := -1
-		for i := 0; i < m; i++ {
-			if j.dirty[i] || int(j.count[i]) < j.k {
-				continue
-			}
-			if worst < 0 || j.admit[i] > j.admit[worst] {
-				worst = i
-			}
-		}
-		if worst < 0 {
-			break
-		}
-		j.dirty[worst] = true
-		j.hasDirty = true
-	}
-	if j.hasDirty {
-		j.refreshMaxOwnerBound()
-	}
-}
-
-// patienceFor converts the recall target into the stopping rule's
-// patience: the number of consecutive admission-free candidates after
-// which the drain gives up on the remaining stream. slots is the leaf's
-// total result capacity (owners x k): the shared stream serves every
-// owner at once, so the admission drought that licenses stopping must be
-// measured against all slots the stream could still improve, not one
-// owner's k. Stopping after slots/(1-rt) dry candidates means the
-// observed marginal admission rate has dropped below (1-rt)/slots per
-// candidate — at that rate, the remaining stream's expected contribution
-// to the leaf's results is below the tolerated 1-rt fraction. rt -> 1
-// makes the patience unbounded (exact); rt <= 0 disables the rule.
-func patienceFor(rt float64, slots int) int {
-	if rt <= 0 || rt >= 1 {
-		return 0
-	}
-	return int(math.Ceil(float64(slots) / (1 - rt)))
-}
-
-// allFull reports whether every owner already holds its full k
-// candidates — the stopping rule's non-starvation guard.
-func (j *leafJoin) allFull() bool {
-	for _, n := range j.count {
-		if int(n) < j.k {
-			return false
-		}
-	}
-	return true
-}
-
 func (j *leafJoin) refreshMaxOwnerBound() {
 	j.maxOwnerBound = math.Inf(-1)
 	j.maxOwnerIdx = -1
 	for i, b := range j.admit {
-		if j.dirty[i] {
-			continue
-		}
 		if b > j.maxOwnerBound {
 			j.maxOwnerBound = b
 			j.maxOwnerIdx = i
@@ -406,7 +308,6 @@ func (j *leafJoin) add(cand *index.Entry) {
 	pre := geom.MinDistPointRectSq(cp, j.leafMBR)
 	if pre > j.maxOwnerBound {
 		j.stats.PrunedOnProbe += uint64(len(j.owners))
-		j.sinceAdmit++
 		return
 	}
 	j.gatherCand(cand, cp, pre)
@@ -449,7 +350,6 @@ func (j *leafJoin) flush() {
 		// to a one-candidate-at-a-time decision for this candidate.
 		if j.candPre[c] > j.maxOwnerBound {
 			j.stats.PrunedOnProbe += uint64(m)
-			j.sinceAdmit++
 			continue
 		}
 		row := blk[c*m : c*m+m]
@@ -471,11 +371,6 @@ func (j *leafJoin) flush() {
 		}
 		j.stats.DistanceCalcs += uint64(m)
 		j.stats.PrunedOnProbe += uint64(m - admitted)
-		if ref >= 0 {
-			j.sinceAdmit = 0
-		} else {
-			j.sinceAdmit++
-		}
 	}
 	j.clearBatch()
 }
@@ -491,7 +386,6 @@ func (j *leafJoin) probeAll(cands []index.Entry) {
 		pre := geom.MinDistPointRectSq(cp, j.leafMBR)
 		if pre > j.maxOwnerBound {
 			j.stats.PrunedOnProbe += m
-			j.sinceAdmit++
 			continue
 		}
 		j.gatherCand(&cands[ci], cp, pre)
@@ -562,28 +456,16 @@ func (e *engine) drainLeaf(q *lpq, j *leafJoin) error {
 	// node-push pruning) must see bounds that reflect all earlier
 	// commits, so the gathered tile is flushed before each work-heap pop.
 	j.flush()
-	j.markStragglers(e.opts.RecallTarget)
-	j.patience = patienceFor(e.opts.RecallTarget, j.k*len(j.owners))
-	j.sinceAdmit = 0
 	for j.work.Len() > 0 {
 		if err := e.checkCancel(); err != nil {
 			return err
 		}
-		if j.patience > 0 && j.sinceAdmit >= j.patience && j.allFull() {
-			// Recall-targeted stop: the drain has committed patience
-			// candidates in a row without a single admission anywhere in
-			// the leaf. The remaining (farther) subtrees are abandoned.
-			e.stats.LPQEarlyTerms++
-			e.stats.PrunedSubtrees += uint64(j.work.Len())
-			break
-		}
 		item, _ := j.work.Pop()
 		maxBound := j.maxOwnerBound
 		if item.Key > maxBound {
-			if e.shrink != 1 || j.hasDirty {
-				// admit holds shrunk admission bounds over the clean
-				// owners only; the cut is approx-attributable when the
-				// exact all-owner bounds disagree.
+			if e.shrink != 1 {
+				// admit holds shrunk admission bounds; the cut is
+				// approx-attributable when the exact bounds disagree.
 				exact := math.Inf(-1)
 				for i := range j.owners {
 					if b := j.slackBound(i); b > exact {

@@ -203,9 +203,6 @@ func TestMetricStrings(t *testing.T) {
 	if Metric(9).String() != "UNKNOWN" {
 		t.Fatal("unknown metric should say so")
 	}
-	if DepthFirst.String() != "depth-first" || BreadthFirst.String() != "breadth-first" {
-		t.Fatal("traversal names changed")
-	}
 }
 
 func TestHeapHelpers(t *testing.T) {

@@ -76,9 +76,6 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 	if ir.Dim() != is.Dim() {
 		return stats, fmt.Errorf("core: index dimensionality mismatch: %d vs %d", ir.Dim(), is.Dim())
 	}
-	if opts.Traversal == BreadthFirst && opts.Parallelism > 1 {
-		return stats, fmt.Errorf("core: BreadthFirst traversal does not support Parallelism > 1 (its single global queue has no independent subtrees); use DepthFirst")
-	}
 
 	// Observability. tMark advances across the setup/seed/traverse
 	// boundaries; the "query" span (and Wall) closes on every exit path.
@@ -162,28 +159,10 @@ func RunContext(ctx context.Context, ir, is index.Tree, opts Options, emit func(
 		tMark = now
 	}
 
-	switch opts.Traversal {
-	case BreadthFirst:
-		queue := []*lpq{root}
-		for head := 0; head < len(queue) && err == nil; head++ {
-			if err = e.checkCancel(); err != nil {
-				break
-			}
-			q := queue[head]
-			queue[head] = nil // release the popped LPQ for the GC
-			var children []*lpq
-			children, err = e.expandAndPrune(q)
-			if err == nil {
-				e.putLPQ(q)
-				queue = append(queue, children...)
-			}
-		}
-	default: // DepthFirst
-		if opts.Parallelism > 1 {
-			err = e.runParallel(root, opts.Parallelism)
-		} else {
-			err = e.dfbi(root)
-		}
+	if opts.Parallelism > 1 {
+		err = e.runParallel(root, opts.Parallelism)
+	} else {
+		err = e.dfbi(root)
 	}
 	if obsOn {
 		now := time.Now()

@@ -186,17 +186,6 @@ func TestSelfJoinWithDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestTraversalsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	rPts := uniformPoints(rng, 200, 2, 100)
-	sPts := uniformPoints(rng, 200, 2, 100)
-	ir := buildMBRQT(t, rPts)
-	is := buildMBRQT(t, sPts)
-	for _, tr := range []Traversal{DepthFirst, BreadthFirst} {
-		checkAgainstBrute(t, ir, is, rPts, sPts, Options{Traversal: tr, K: 3})
-	}
-}
-
 func TestHighDimensional(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	rPts := uniformPoints(rng, 150, 10, 1)

@@ -56,27 +56,6 @@ func (m Metric) BoundSq(owner, candidate geom.Rect) float64 {
 	return geom.NXNDistSq(owner, candidate)
 }
 
-// Traversal selects how the FIFO queues of LPQs are processed.
-type Traversal uint8
-
-const (
-	// DepthFirst recursively descends into each child LPQ before its
-	// siblings' children (the paper's ANN-DFBI; minimal memory, best
-	// locality).
-	DepthFirst Traversal = iota
-	// BreadthFirst drains a single global queue level by level. Provided
-	// as an ablation of the paper's design choice.
-	BreadthFirst
-)
-
-// String implements fmt.Stringer.
-func (t Traversal) String() string {
-	if t == BreadthFirst {
-		return "breadth-first"
-	}
-	return "depth-first"
-}
-
 // KBound selects the AkNN pruning bound maintained by each LPQ.
 type KBound uint8
 
@@ -92,15 +71,13 @@ const (
 )
 
 // Options configures an ANN/AkNN execution. The zero value runs ANN (k=1)
-// with NXNDIST pruning and depth-first traversal — the paper's MBA/RBA
-// configuration.
+// with NXNDIST pruning — the paper's MBA/RBA configuration, traversed
+// depth-first (the paper's ANN-DFBI).
 type Options struct {
 	// K is the number of neighbors per query object (0 means 1).
 	K int
 	// Metric is the pruning upper bound (default NXNDist).
 	Metric Metric
-	// Traversal orders the LPQ processing (default DepthFirst).
-	Traversal Traversal
 	// KBound selects the AkNN bound strategy (default KBoundKth).
 	KBound KBound
 	// ExcludeSelf skips the result pairing an object with itself (same
@@ -130,13 +107,8 @@ type Options struct {
 	// subtrees of the query index concurrently. 0 and 1 run the serial
 	// engine (the zero value stays the paper's configuration); higher
 	// values expand the first level(s) of I_R serially and hand each
-	// resulting LPQ subtree to a worker. Only the depth-first traversal
-	// parallelises; combining Parallelism > 1 with BreadthFirst is a
-	// configuration error and Run rejects it (a single global level queue
-	// has no independent subtrees to hand out, and silently running
-	// serially would misreport the requested concurrency). Workers read
-	// I_S through the shared storage.BufferPool, which is safe for
-	// concurrent readers.
+	// resulting LPQ subtree to a worker. Workers read I_S through the
+	// shared storage.BufferPool, which is safe for concurrent readers.
 	Parallelism int
 	// OrderedEmit buffers each parallel subtree's results and releases
 	// them in index traversal order, making parallel output identical to
@@ -188,31 +160,6 @@ type Options struct {
 	// never changes — only which neighbors are reported. Negative, NaN or
 	// infinite values are rejected with ErrInvalidOptions.
 	Epsilon float64
-	// RecallTarget, when in (0,1), enables the recall-targeted leaf
-	// selector: in each shared leaf join, the ceil(RecallTarget x owners)
-	// query objects with the tightest admission bounds are served exactly,
-	// and the remaining stragglers — whose wide bounds would otherwise
-	// force every far candidate through the distance kernel for the whole
-	// leaf — are excluded from the leaf's shared prefilter and subtree
-	// cut-off bound. Stragglers still admit every candidate surviving the
-	// tighter prefilter (and still return their full k results; owners not
-	// yet holding k candidates are never selected), so per leaf at least a
-	// RecallTarget fraction of objects get results identical to the exact
-	// drain — the recall floor, by construction, when Epsilon == 0; with
-	// Epsilon > 0 the floor applies to the (1+ε)-approximate results
-	// instead. The target also arms the leaf drain's stopping rule: once
-	// every owner holds k candidates and (owners x k)/(1-RecallTarget)
-	// consecutive committed candidates produce no admission anywhere, the
-	// rest of the leaf's candidate stream is abandoned — the observed
-	// marginal admission rate has fallen below the tolerated 1-rt per
-	// result slot. The stop is a calibrated heuristic, not a per-leaf
-	// guarantee; the straggler floor plus the calibration keep measured
-	// recall at or above the target across the recall-harness property
-	// matrix. 0 (the default) and 1 disable the selector. Values outside
-	// (0,1] — and combining the selector with the PerObjectGather
-	// ablation, which has no shared leaf join to select within — are
-	// rejected with ErrInvalidOptions.
-	RecallTarget float64
 
 	// BoundSeedSq, when non-nil, seeds each query object's LPQ admission
 	// bound with the given squared distance, indexed by ObjectID. A seed
@@ -247,14 +194,6 @@ func (o Options) withDefaults() Options {
 func (o Options) validate() error {
 	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) || o.Epsilon < 0 {
 		return fmt.Errorf("core: %w: Epsilon must be finite and >= 0, got %v", ErrInvalidOptions, o.Epsilon)
-	}
-	if o.RecallTarget != 0 {
-		if math.IsNaN(o.RecallTarget) || o.RecallTarget < 0 || o.RecallTarget > 1 {
-			return fmt.Errorf("core: %w: RecallTarget must be in (0,1] (0 means exact), got %v", ErrInvalidOptions, o.RecallTarget)
-		}
-		if o.RecallTarget < 1 && o.PerObjectGather {
-			return fmt.Errorf("core: %w: RecallTarget requires the shared leaf join (the PerObjectGather ablation has no leaf selector)", ErrInvalidOptions)
-		}
 	}
 	return nil
 }
@@ -334,8 +273,7 @@ type Stats struct {
 	PrunedEntries  uint64
 	// LPQEarlyTerms counts terminal cuts attributable to the approximate
 	// mode: Expand/Gather stops that fired strictly earlier than the
-	// exact comparison would have, plus recall-target leaf-selector
-	// stops. Always zero for an exact query.
+	// exact comparison would have. Always zero for an exact query.
 	LPQEarlyTerms uint64
 }
 

@@ -167,8 +167,8 @@ func (r *Router) Handle(ctx context.Context, hdr wire.RequestHeader, body wire.M
 // dispatch executes one decoded request. A returned error means no
 // terminal frame was written yet.
 func (r *Router) dispatch(ctx context.Context, hdr wire.RequestHeader, body wire.Message, w *server.ResponseWriter) error {
-	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 {
-		return server.BadRequest("the router serves exact queries only (epsilon=%v, recall_target=%v rejected): shard-local approximation bounds do not compose across a merge", hdr.Epsilon, hdr.RecallTarget)
+	if hdr.Epsilon != 0 {
+		return server.BadRequest("the router serves exact queries only (epsilon=%v rejected): shard-local approximation bounds do not compose across a merge", hdr.Epsilon)
 	}
 	if hdr.WantReport {
 		return server.BadRequest("WantReport is not supported on routed requests")

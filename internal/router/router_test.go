@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"allnn/internal/geom"
 	"allnn/internal/obs"
 	"allnn/internal/server"
+	"allnn/internal/wire"
 )
 
 // --- fixture -----------------------------------------------------------------
@@ -51,6 +53,7 @@ type fixture struct {
 	perShard [][2]uint64 // [idBase, count] per shard
 	backends []*testBackend
 	reg      *obs.Registry
+	addr     string // the router's listen address
 	routed   *client.Client
 	single   *client.Client
 }
@@ -136,7 +139,8 @@ func startFixture(t *testing.T, pts []geom.Point, shards int, mode Mode, fanout 
 		}
 	})
 
-	f.routed = dial(t, rln.Addr().String())
+	f.addr = rln.Addr().String()
+	f.routed = dial(t, f.addr)
 	f.single = dial(t, sb.addr)
 	return f
 }
@@ -534,12 +538,52 @@ func TestRouterRejects(t *testing.T) {
 	if err := st.Close(); !client.IsBadRequest(err) {
 		t.Errorf("approximate routed join: got %v, want BAD_REQUEST", err)
 	}
+	if code := rawReservedSlotJoin(t, f.addr); code != wire.CodeBadRequest {
+		t.Errorf("non-zero reserved approx slot: got code %v, want BAD_REQUEST", code)
+	}
 	if _, err := f.routed.WithinDistance(ctx, "pts", "other", 5, true, func(uint64, uint64, float64) error { return nil }); !client.IsBadRequest(err) {
 		t.Errorf("cross-dataset within: got %v, want BAD_REQUEST", err)
 	}
 	if _, err := f.routed.Insert(ctx, "pts", nil, []ann.Point{{1, 2}}); !client.IsBadRequest(err) {
 		t.Errorf("mutation through the router: got %v, want BAD_REQUEST", err)
 	}
+}
+
+// rawReservedSlotJoin sends, on a fresh connection, a self-join whose
+// approximate extension has a non-zero reserved slot — a frame the typed
+// client cannot produce — and returns the reply's error code.
+func rawReservedSlotJoin(t *testing.T, addr string) wire.ErrorCode {
+	t.Helper()
+	payload, err := wire.EncodeRequest(wire.RequestHeader{ID: 1, Op: wire.OpJoin},
+		&wire.JoinReq{R: "pts", K: 1, Self: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(0))
+	payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(0.9))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kind, _, body, err := wire.DecodeResponse(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != wire.KindError {
+		t.Fatalf("reserved-slot join: got reply kind %d body %+v, want an error", kind, body)
+	}
+	return body.(*wire.ErrorReply).Code
 }
 
 func TestShardMapServed(t *testing.T) {

@@ -55,9 +55,9 @@ func TestServedReportParity(t *testing.T) {
 			OnReport: func(r ann.QueryReport) { rep = r }}
 		var err error
 		if self {
-			_, err = ann.SelfAllKNearestNeighbors(rix, 3, cfg)
+			_, err = ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 3, cfg)
 		} else {
-			_, err = ann.AllKNearestNeighbors(rix, six, 3, cfg)
+			_, err = ann.AllKNearestNeighborsContext(context.Background(), rix, six, 3, cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestReportVersionGate(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want, err := ann.SelfAllKNearestNeighbors(ix, 2, ann.QueryConfig{})
+	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 2, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

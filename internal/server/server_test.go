@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -69,6 +71,50 @@ func buildIndex(t *testing.T, pts []ann.Point, kind ann.IndexKind) *ann.Index {
 }
 
 // collectJoin drains a join stream into a slice.
+// reservedSlotJoin encodes a self-join request whose approximate
+// extension carries 0 for Epsilon and a non-zero reserved slot — a frame
+// the typed client cannot produce.
+func reservedSlotJoin(t *testing.T, index string) []byte {
+	t.Helper()
+	payload, err := wire.EncodeRequest(wire.RequestHeader{ID: 1, Op: wire.OpJoin},
+		&wire.JoinReq{R: index, K: 1, Self: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(0))
+	return binary.BigEndian.AppendUint64(payload, math.Float64bits(0.9))
+}
+
+// rawRequestCode sends one raw request frame on a fresh connection (a
+// frame that fails to decode is fatal to its connection) and returns the
+// error code of the reply, failing the test on any other reply kind.
+func rawRequestCode(t *testing.T, addr string, payload []byte) wire.ErrorCode {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kind, _, body, err := wire.DecodeResponse(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != wire.KindError {
+		t.Fatalf("raw request: got reply kind %d body %+v, want an error", kind, body)
+	}
+	return body.(*wire.ErrorReply).Code
+}
+
 func collectJoin(t *testing.T, st *client.JoinStream) []ann.Result {
 	t.Helper()
 	var out []ann.Result
@@ -139,7 +185,7 @@ func TestServedParity(t *testing.T) {
 		}
 
 		// ANN / AkNN join.
-		want, err := ann.AllKNearestNeighbors(rix, six, k, ann.QueryConfig{})
+		want, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, k, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +195,11 @@ func TestServedParity(t *testing.T) {
 		}
 		got := collectJoin(t, st)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: served join diverges from direct AllKNearestNeighbors", k)
+			t.Fatalf("k=%d: served join diverges from direct AllKNearestNeighborsContext", k)
 		}
 
 		// Self-join variant.
-		wantSelf, err := ann.SelfAllKNearestNeighbors(rix, k, ann.QueryConfig{})
+		wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, k, ann.QueryConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +209,7 @@ func TestServedParity(t *testing.T) {
 		}
 		gotSelf := collectJoin(t, st)
 		if !reflect.DeepEqual(gotSelf, wantSelf) {
-			t.Fatalf("k=%d: served self-join diverges from direct SelfAllKNearestNeighbors", k)
+			t.Fatalf("k=%d: served self-join diverges from direct SelfAllKNearestNeighborsContext", k)
 		}
 	}
 
@@ -187,7 +233,7 @@ func TestServedParity(t *testing.T) {
 		d    float64
 	}
 	var wantPairs []pairKey
-	err = ann.WithinDistance(rix, six, 3.0, false, func(r, s uint64, d float64) error {
+	err = ann.WithinDistanceContext(context.Background(), rix, six, 3.0, false, func(r, s uint64, d float64) error {
 		wantPairs = append(wantPairs, pairKey{r, s, d})
 		return nil
 	})
@@ -207,7 +253,7 @@ func TestServedParity(t *testing.T) {
 	}
 
 	// Closest pairs.
-	wantCP, err := ann.ClosestPairs(rix, six, 7, false)
+	wantCP, err := ann.ClosestPairsContext(context.Background(), rix, six, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +311,7 @@ func TestServedApprox(t *testing.T) {
 	ctx := context.Background()
 
 	// Zero knobs over the approx entry point: byte-identical to exact.
-	wantExact, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{})
+	wantExact, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 3, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,31 +323,25 @@ func TestServedApprox(t *testing.T) {
 		t.Fatal("served eps=0 approx join diverges from exact")
 	}
 
-	// Nonzero knobs: served results match the direct library call with
+	// A nonzero knob: served results match the direct library call with
 	// the identical QueryConfig.
-	for _, opts := range []client.JoinOptions{
-		{Epsilon: 0.2},
-		{Epsilon: 0.1, RecallTarget: 0.9},
-	} {
-		want, err := ann.SelfAllKNearestNeighbors(ix, 3, ann.QueryConfig{
-			Epsilon: opts.Epsilon, RecallTarget: opts.RecallTarget,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := cl.SelfJoinApprox(ctx, "pts", 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := collectJoin(t, st); !reflect.DeepEqual(got, want) {
-			t.Fatalf("served approx join %+v diverges from direct call", opts)
-		}
+	opts := client.JoinOptions{Epsilon: 0.2}
+	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 3, ann.QueryConfig{Epsilon: opts.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = cl.SelfJoinApprox(ctx, "pts", 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectJoin(t, st); !reflect.DeepEqual(got, want) {
+		t.Fatalf("served approx join %+v diverges from direct call", opts)
 	}
 
 	// Invalid knob values are rejected at frame decode as BAD_REQUEST.
 	// A frame that fails to decode is fatal to its connection, so each
 	// probe uses a throwaway client.
-	for _, opts := range []client.JoinOptions{{Epsilon: -1}, {RecallTarget: 1.5}} {
+	for _, opts := range []client.JoinOptions{{Epsilon: -1}} {
 		bad, err := client.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -318,35 +358,22 @@ func TestServedApprox(t *testing.T) {
 		bad.Close()
 	}
 
-	// Approx knobs on a non-join op are malformed. The typed client
-	// cannot express this, so probe with a raw wire frame.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.EncodeRequest(
+	// The typed client cannot express the remaining malformed requests,
+	// so probe with raw wire frames: ε on a non-join op, and a join whose
+	// approximate extension has a non-zero reserved slot.
+	knnEps, err := wire.EncodeRequest(
 		wire.RequestHeader{ID: 1, Op: wire.OpKNN, Epsilon: 0.1},
 		&wire.KNNReq{Index: "pts", K: 1, Point: []float64{1, 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, kind, _, body, err := wire.DecodeResponse(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != wire.KindError || body.(*wire.ErrorReply).Code != wire.CodeBadRequest {
-		t.Errorf("approx knobs on %s: got kind %d body %+v, want BAD_REQUEST", wire.OpKNN, kind, body)
+	for name, payload := range map[string][]byte{
+		"approx knob on " + wire.OpKNN.String(): knnEps,
+		"non-zero reserved approx slot":         reservedSlotJoin(t, "pts"),
+	} {
+		if code := rawRequestCode(t, addr, payload); code != wire.CodeBadRequest {
+			t.Errorf("%s: got code %v, want BAD_REQUEST", name, code)
+		}
 	}
 
 	srv.Catalog().RequireNoPinnedFrames(t)
@@ -462,7 +489,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want, err := ann.SelfAllKNearestNeighbors(ix, 1, ann.QueryConfig{})
+	want, err := ann.SelfAllKNearestNeighborsContext(context.Background(), ix, 1, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,15 +586,15 @@ func TestMixedWorkloadRace(t *testing.T) {
 	ctx := context.Background()
 
 	// Direct-call baselines, computed once.
-	wantJoin, err := ann.AllKNearestNeighbors(rix, six, 2, ann.QueryConfig{})
+	wantJoin, err := ann.AllKNearestNeighborsContext(context.Background(), rix, six, 2, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSelf, err := ann.SelfAllKNearestNeighbors(rix, 1, ann.QueryConfig{})
+	wantSelf, err := ann.SelfAllKNearestNeighborsContext(context.Background(), rix, 1, ann.QueryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCP, err := ann.ClosestPairs(rix, six, 5, false)
+	wantCP, err := ann.ClosestPairsContext(context.Background(), rix, six, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}

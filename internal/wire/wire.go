@@ -224,21 +224,20 @@ type RequestHeader struct {
 	// Timeout, when positive, is the client's remaining deadline budget
 	// at send time; the server enforces it from arrival.
 	Timeout time.Duration
-	// Epsilon and RecallTarget carry the approximate-query knobs (see
-	// ann.QueryConfig). Both zero — the exact query every pre-extension
-	// client sends — encodes to the original fixed header with no
-	// trailing extension, so old and new peers interoperate: an old
-	// decoder never sees the extension bytes, and a new decoder treats
-	// their absence as exact. When either is non-zero the encoder appends
-	// both after the body as two F64s; only OpJoin honors them (the
-	// server rejects them on any other op).
-	Epsilon      float64
-	RecallTarget float64
+	// Epsilon carries the approximate-query knob (see ann.QueryConfig).
+	// Zero — the exact query every pre-extension client sends — encodes
+	// to the original fixed header with no trailing extension, so old and
+	// new peers interoperate: an old decoder never sees the extension
+	// bytes, and a new decoder treats their absence as exact. When it is
+	// non-zero the encoder appends it after the body as an F64 followed
+	// by a reserved F64 that must be 0; only OpJoin honors it (the server
+	// rejects it on any other op).
+	Epsilon float64
 	// TraceID is an optional client-chosen identifier echoed through the
 	// server's logs, slow-query ring and in-flight table, tying a wire
 	// request to client-side context. WantReport asks the server to
 	// attach a Report to the terminating StreamEnd of a join (rejected
-	// on non-streaming ops, like the approximate knobs). Both zero-valued
+	// on non-streaming ops, like Epsilon). Both zero-valued
 	// — the only thing a pre-extension client can send — encode to a
 	// frame byte-identical to the older format: the trace extension
 	// (flags byte + trace-id string, preceded by the two approx F64s) is

@@ -31,14 +31,14 @@ func requestSamples() []struct {
 		{RequestHeader{ID: 10, Op: OpWithinDistance}, &WithinReq{R: "r", S: "r", Dist: 3.5, ExcludeSelf: true}},
 		{RequestHeader{ID: 11, Op: OpClosestPairs}, &PairsReq{R: "r", S: "s", K: 8}},
 		{RequestHeader{ID: 12, Op: OpKNN}, &KNNReq{Index: "", K: 0, Point: nil}},
-		// Approximate-query header extension (trailing Epsilon/RecallTarget).
-		{RequestHeader{ID: 13, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.95}, &JoinReq{R: "r", S: "s", K: 2}},
+		// Approximate-query header extension (trailing Epsilon + reserved slot).
+		{RequestHeader{ID: 13, Op: OpJoin, Epsilon: 0.1}, &JoinReq{R: "r", S: "s", K: 2}},
 		{RequestHeader{ID: 14, Op: OpJoin, Timeout: time.Second, Epsilon: 0.5}, &JoinReq{R: "r", K: 1, Self: true}},
-		{RequestHeader{ID: 15, Op: OpJoin, RecallTarget: 1}, &JoinReq{R: "r", K: 1, Self: true}},
+		{RequestHeader{ID: 15, Op: OpJoin, Epsilon: 1}, &JoinReq{R: "r", S: "r", K: 3}},
 		// Trace header extension (flags + trace ID after the knobs).
 		{RequestHeader{ID: 16, Op: OpJoin, TraceID: "req-0042", WantReport: true}, &JoinReq{R: "r", K: 1, Self: true}},
 		{RequestHeader{ID: 17, Op: OpKNN, TraceID: "probe/7"}, &KNNReq{Index: "pts", K: 2, Point: []float64{1, 2}}},
-		{RequestHeader{ID: 18, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.95, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
+		{RequestHeader{ID: 18, Op: OpJoin, Epsilon: 0.1, WantReport: true}, &JoinReq{R: "r", S: "s", K: 2}},
 		// Mutations.
 		{RequestHeader{ID: 19, Op: OpInsert}, &InsertReq{Index: "pts", IDs: []uint64{10, 11}, Points: [][]float64{{1, 2}, {3, 4}}}},
 		{RequestHeader{ID: 20, Op: OpDelete}, &DeleteReq{Index: "pts", IDs: []uint64{10}, Points: [][]float64{{1, 2}}}},
@@ -199,10 +199,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 }
 
 // TestApproxExtension pins the compatibility contract of the trailing
-// Epsilon/RecallTarget extension: zero knobs encode to the pre-extension
-// frame byte-for-byte, pre-extension frames decode with zero knobs, and
-// hostile extension values (NaN, negatives, out-of-range targets) are
-// rejected at decode rather than reaching query validation.
+// approximate extension (Epsilon plus a reserved slot): a zero Epsilon
+// encodes to the pre-extension frame byte-for-byte, pre-extension frames
+// decode with a zero Epsilon, and hostile extension values (NaN or
+// negative Epsilon, any non-zero reserved slot) are rejected at decode
+// rather than reaching query validation.
 func TestApproxExtension(t *testing.T) {
 	exact, err := EncodeRequest(RequestHeader{ID: 1, Op: OpJoin}, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
@@ -223,8 +224,8 @@ func TestApproxExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Epsilon != 0 || hdr.RecallTarget != 0 {
-		t.Errorf("old frame decoded with knobs %v/%v", hdr.Epsilon, hdr.RecallTarget)
+	if hdr.Epsilon != 0 {
+		t.Errorf("old frame decoded with epsilon %v", hdr.Epsilon)
 	}
 	// Hostile extension values must be rejected at decode.
 	bad := [][2]float64{
@@ -234,6 +235,7 @@ func TestApproxExtension(t *testing.T) {
 		{-0.5, 0},
 		{0.1, -0.1},
 		{0.1, 1.5},
+		{0, 0.9},
 	}
 	for _, kv := range bad {
 		e := NewEncoder(nil)
@@ -292,7 +294,7 @@ func TestTraceExtension(t *testing.T) {
 		t.Errorf("approx-only frame decoded as %+v", hdr)
 	}
 	// The full round trip preserves every header field.
-	full := RequestHeader{ID: 9, Op: OpJoin, Epsilon: 0.1, RecallTarget: 0.9, TraceID: "abc-123", WantReport: true}
+	full := RequestHeader{ID: 9, Op: OpJoin, Epsilon: 0.1, TraceID: "abc-123", WantReport: true}
 	payload, err := EncodeRequest(full, &JoinReq{R: "r", K: 1, Self: true}, nil)
 	if err != nil {
 		t.Fatal(err)
